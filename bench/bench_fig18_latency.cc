@@ -33,22 +33,9 @@ main(int argc, char **argv)
     // Flatten the workload × scheduler grid into one batch so the
     // parallel runner can spread every run across the workers.
     const auto names = WorkloadProfile::allNames();
-    const std::vector<SchedulerKind> kinds = {SchedulerKind::kFrFcfsOpen,
-                                              SchedulerKind::kFrFcfsClose,
-                                              SchedulerKind::kNuat};
-    std::vector<ExperimentConfig> grid;
-    grid.reserve(names.size() * kinds.size());
-    for (const auto &name : names) {
-        ExperimentConfig cfg;
-        cfg.workloads = {name};
-        cfg.memOpsPerCore = ops;
-        cfg.audit = bench::auditEnabled();
-        for (const SchedulerKind kind : kinds) {
-            cfg.scheduler = kind;
-            grid.push_back(cfg);
-        }
-    }
-    bench::applyMetricsEnv(grid, "fig18");
+    const std::size_t kinds = std::size(bench::kPaperKinds);
+    const std::vector<ExperimentConfig> grid =
+        bench::paperGrid(ops, "fig18");
     // Resolve the thread request (0 = auto) against the actual batch
     // so the report shows the worker count the runner really uses.
     const unsigned threads = resolveRunnerThreads(
@@ -59,7 +46,7 @@ main(int argc, char **argv)
 
     for (std::size_t w = 0; w < names.size(); ++w) {
         const auto &name = names[w];
-        const RunResult *rs = &all[w * kinds.size()];
+        const RunResult *rs = &all[w * kinds];
         const double open = rs[0].avgReadLatency();
         const double close = rs[1].avgReadLatency();
         const double nuat = rs[2].avgReadLatency();

@@ -28,22 +28,9 @@ main(int argc, char **argv)
     int n = 0;
 
     const auto names = WorkloadProfile::allNames();
-    const std::vector<SchedulerKind> kinds = {SchedulerKind::kFrFcfsOpen,
-                                              SchedulerKind::kFrFcfsClose,
-                                              SchedulerKind::kNuat};
-    std::vector<ExperimentConfig> grid;
-    grid.reserve(names.size() * kinds.size());
-    for (const auto &name : names) {
-        ExperimentConfig cfg;
-        cfg.workloads = {name};
-        cfg.memOpsPerCore = ops;
-        cfg.audit = bench::auditEnabled();
-        for (const SchedulerKind kind : kinds) {
-            cfg.scheduler = kind;
-            grid.push_back(cfg);
-        }
-    }
-    bench::applyMetricsEnv(grid, "fig20");
+    const std::size_t kinds = std::size(bench::kPaperKinds);
+    const std::vector<ExperimentConfig> grid =
+        bench::paperGrid(ops, "fig20");
     // Resolve the thread request (0 = auto) against the actual batch
     // so the report shows the worker count the runner really uses.
     const unsigned threads = resolveRunnerThreads(
@@ -54,7 +41,7 @@ main(int argc, char **argv)
 
     for (std::size_t w = 0; w < names.size(); ++w) {
         const auto &name = names[w];
-        const RunResult *rs = &all[w * kinds.size()];
+        const RunResult *rs = &all[w * kinds];
         const double open = static_cast<double>(rs[0].executionTime());
         const double close = static_cast<double>(rs[1].executionTime());
         const double nuat = static_cast<double>(rs[2].executionTime());

@@ -25,6 +25,7 @@
 
 #include "sim/experiment_config.hh"
 #include "sim/parallel_runner.hh"
+#include "trace/workload_profile.hh"
 
 namespace nuat::bench {
 
@@ -36,12 +37,30 @@ fullScale()
     return v && v[0] == '1';
 }
 
+/**
+ * Strict unsigned parse of @p value, which came from @p source (an
+ * environment variable or a flag).  Anything but a plain decimal
+ * number is a usage error: one diagnostic line, exit 64.
+ */
+inline std::uint64_t
+parseCount(const char *source, const char *value)
+{
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(value, &end, 10);
+    if (end == value || *end != '\0' || value[0] == '-') {
+        std::fprintf(stderr, "%s needs an unsigned integer, got '%s'\n",
+                     source, value);
+        std::exit(64);
+    }
+    return n;
+}
+
 /** Memory ops per core: env override, else full/quick default. */
 inline std::uint64_t
 opsPerCore(std::uint64_t quick_default, std::uint64_t full_default)
 {
     if (const char *v = std::getenv("NUAT_BENCH_OPS"))
-        return std::strtoull(v, nullptr, 10);
+        return parseCount("NUAT_BENCH_OPS", v);
     return fullScale() ? full_default : quick_default;
 }
 
@@ -96,6 +115,35 @@ applyMetricsEnv(std::vector<ExperimentConfig> &grid, const char *bench)
     }
 }
 
+/** The paper's Fig. 18/20 schedulers, in grid order. */
+inline constexpr SchedulerKind kPaperKinds[] = {
+    SchedulerKind::kFrFcfsOpen, SchedulerKind::kFrFcfsClose,
+    SchedulerKind::kNuat};
+
+/**
+ * The paper's single-core grid: every workload profile x kPaperKinds,
+ * profile-major, at @p ops memory operations per core, with the audit
+ * and metrics environment knobs applied (metric files named after
+ * @p bench).  Row w's runs start at index w * std::size(kPaperKinds).
+ */
+inline std::vector<ExperimentConfig>
+paperGrid(std::uint64_t ops, const char *bench)
+{
+    std::vector<ExperimentConfig> grid;
+    for (const std::string &name : WorkloadProfile::allNames()) {
+        ExperimentConfig cfg;
+        cfg.workloads = {name};
+        cfg.memOpsPerCore = ops;
+        cfg.audit = auditEnabled();
+        for (const SchedulerKind kind : kPaperKinds) {
+            cfg.scheduler = kind;
+            grid.push_back(cfg);
+        }
+    }
+    applyMetricsEnv(grid, bench);
+    return grid;
+}
+
 /** Mean of per-core finish times [CPU cycles]. */
 inline double
 avgCoreFinish(const RunResult &r)
@@ -130,9 +178,9 @@ threadsFromArgs(int argc, char **argv)
     for (int i = 1; i + 1 < argc; ++i)
         if (std::strcmp(argv[i], "--threads") == 0)
             return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
+                parseCount("--threads", argv[i + 1]));
     if (const char *v = std::getenv("NUAT_BENCH_THREADS"))
-        return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+        return static_cast<unsigned>(parseCount("NUAT_BENCH_THREADS", v));
     return 1;
 }
 

@@ -7,6 +7,20 @@
 
 namespace nuat {
 
+void
+DeviceCounters::merge(const DeviceCounters &other)
+{
+    acts += other.acts;
+    pres += other.pres;
+    reads += other.reads;
+    writes += other.writes;
+    autoPres += other.autoPres;
+    refreshes += other.refreshes;
+    marginViolations += other.marginViolations;
+    for (std::size_t i = 0; i < 16; ++i)
+        actsByTrcdReduction[i] += other.actsByTrcdReduction[i];
+}
+
 RankState::RankState(std::uint32_t rows, const TimingParams &tp,
                      const DramGeometry &geom)
 {

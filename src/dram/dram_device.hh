@@ -113,6 +113,9 @@ struct DeviceCounters
      * it can only mean a controller bug.
      */
     std::uint64_t marginViolations = 0;
+
+    /** Add @p other's counts (merging channels into one record). */
+    void merge(const DeviceCounters &other);
 };
 
 /** One DDR3 channel: ranks x banks plus the shared command/data bus. */

@@ -31,6 +31,25 @@ struct MemoryController::CtrlMetrics
     Gauge *writeqLen;
 };
 
+void
+ControllerStats::merge(const ControllerStats &other)
+{
+    readsAccepted += other.readsAccepted;
+    writesAccepted += other.writesAccepted;
+    readsMerged += other.readsMerged;
+    readsForwarded += other.readsForwarded;
+    writesCoalesced += other.writesCoalesced;
+    readsCompleted += other.readsCompleted;
+    readLatencySum += other.readLatencySum;
+    rowHitReads += other.rowHitReads;
+    rowHitWrites += other.rowHitWrites;
+    idleCycles += other.idleCycles;
+    tickCycles += other.tickCycles;
+    readLatencyHist.merge(other.readLatencyHist);
+    readQOccupancySum += other.readQOccupancySum;
+    writeQOccupancySum += other.writeQOccupancySum;
+}
+
 MemoryController::~MemoryController() = default;
 
 void

@@ -121,6 +121,8 @@ struct ControllerStats
                          static_cast<double>(readsCompleted)
                    : 0.0;
     }
+    /** Add @p other's counts (merging channels into one record). */
+    void merge(const ControllerStats &other);
 };
 
 /** One DDR3 channel controller. */

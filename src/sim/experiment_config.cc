@@ -24,6 +24,39 @@ schedulerKindName(SchedulerKind kind)
     return "?";
 }
 
+const char *
+schedulerKindKey(SchedulerKind kind)
+{
+    switch (kind) {
+      case SchedulerKind::kFcfs:
+        return "fcfs";
+      case SchedulerKind::kFrFcfsOpen:
+        return "frfcfs-open";
+      case SchedulerKind::kFrFcfsClose:
+        return "frfcfs-close";
+      case SchedulerKind::kFrFcfsAdaptive:
+        return "frfcfs-adaptive";
+      case SchedulerKind::kNuat:
+        return "nuat";
+    }
+    return "unknown";
+}
+
+bool
+parseSchedulerKind(const std::string &name, SchedulerKind *out)
+{
+    for (const SchedulerKind kind :
+         {SchedulerKind::kFcfs, SchedulerKind::kFrFcfsOpen,
+          SchedulerKind::kFrFcfsClose, SchedulerKind::kFrFcfsAdaptive,
+          SchedulerKind::kNuat}) {
+        if (name == schedulerKindKey(kind)) {
+            *out = kind;
+            return true;
+        }
+    }
+    return false;
+}
+
 void
 ExperimentConfig::applyDramGen(DramGen gen)
 {
@@ -46,7 +79,8 @@ void
 ExperimentConfig::validate() const
 {
     nuat_assert(!workloads.empty(), "(no workloads configured)");
-    nuat_assert(numPb >= 1 && numPb <= 8);
+    nuat_assert(numPb >= 1 && numPb <= 8, "(numPb %u outside 1..8)",
+                numPb);
     nuat_assert(memOpsPerCore > 0);
     nuat_assert(maxMemCycles > 0);
     nuat_assert(busMhz > 0.0 && cpuPerMem >= 1);

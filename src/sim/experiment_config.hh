@@ -35,6 +35,13 @@ enum class SchedulerKind
 /** Short display name of a SchedulerKind. */
 const char *schedulerKindName(SchedulerKind kind);
 
+/** CLI spelling of a SchedulerKind ("nuat", "frfcfs-open", ...);
+ *  also file-name safe. */
+const char *schedulerKindKey(SchedulerKind kind);
+
+/** Parse a schedulerKindKey() spelling; false when unknown. */
+bool parseSchedulerKind(const std::string &name, SchedulerKind *out);
+
 /** Everything needed to run one simulation. */
 struct ExperimentConfig
 {

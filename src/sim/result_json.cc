@@ -1,7 +1,6 @@
 #include "result_json.hh"
 
 #include <cstdio>
-#include <sstream>
 
 namespace nuat {
 
@@ -39,145 +38,234 @@ quoted(const std::string &s)
     return out;
 }
 
+std::string
+flag(bool b)
+{
+    return b ? "true" : "false";
+}
+
+/**
+ * One JSON object with a fixed key order, pretty (one key per line,
+ * two spaces of indent per level) or compact (one line).  Values are
+ * added already encoded; arrays always stay on one line.
+ */
+class JsonObject
+{
+  public:
+    explicit JsonObject(bool pretty, unsigned depth = 0)
+        : pretty_(pretty), depth_(depth)
+    {
+    }
+
+    JsonObject &
+    add(const char *key, const std::string &value)
+    {
+        if (!body_.empty())
+            body_ += ",";
+        if (pretty_)
+            body_ += "\n" + std::string(2 * depth_ + 2, ' ');
+        body_ += quoted(key) + (pretty_ ? ": " : ":") + value;
+        return *this;
+    }
+
+    /** An empty object nested one level below this one. */
+    JsonObject child() const { return JsonObject(pretty_, depth_ + 1); }
+
+    /** @p items, each encoded by @p encode, as an array. */
+    template <typename Items, typename Encode>
+    std::string
+    list(const Items &items, Encode encode) const
+    {
+        std::string s = "[";
+        for (const auto &item : items) {
+            if (s.size() > 1)
+                s += pretty_ ? ", " : ",";
+            s += encode(item);
+        }
+        return s + "]";
+    }
+
+    std::string
+    str() const
+    {
+        return "{" + body_ +
+               (pretty_ ? "\n" + std::string(2 * depth_, ' ') : "") + "}";
+    }
+
+  private:
+    bool pretty_;
+    unsigned depth_;
+    std::string body_;
+};
+
+std::string
+count(std::uint64_t v)
+{
+    return num(v);
+}
+
 } // namespace
 
 std::string
 runResultToJson(const RunResult &r)
 {
-    std::ostringstream o;
-    o << "{\n";
-    o << "  \"schedulerName\": " << quoted(r.schedulerName) << ",\n";
-    o << "  \"workloads\": [";
-    for (std::size_t i = 0; i < r.workloads.size(); ++i)
-        o << (i ? ", " : "") << quoted(r.workloads[i]);
-    o << "],\n";
-    o << "  \"memCycles\": " << num(r.memCycles) << ",\n";
-    o << "  \"hitCycleCap\": " << (r.hitCycleCap ? "true" : "false")
-      << ",\n";
-    o << "  \"idleCyclesSkipped\": " << num(r.idleCyclesSkipped)
-      << ",\n";
+    JsonObject o(true);
+    o.add("schedulerName", quoted(r.schedulerName));
+    o.add("workloads", o.list(r.workloads, quoted));
+    o.add("memCycles", num(r.memCycles));
+    o.add("hitCycleCap", flag(r.hitCycleCap));
+    o.add("idleCyclesSkipped", num(r.idleCyclesSkipped));
 
-    o << "  \"ctrl\": {\n";
-    o << "    \"readsAccepted\": " << num(r.ctrl.readsAccepted) << ",\n";
-    o << "    \"writesAccepted\": " << num(r.ctrl.writesAccepted)
-      << ",\n";
-    o << "    \"readsMerged\": " << num(r.ctrl.readsMerged) << ",\n";
-    o << "    \"readsForwarded\": " << num(r.ctrl.readsForwarded)
-      << ",\n";
-    o << "    \"writesCoalesced\": " << num(r.ctrl.writesCoalesced)
-      << ",\n";
-    o << "    \"readsCompleted\": " << num(r.ctrl.readsCompleted)
-      << ",\n";
-    o << "    \"readLatencySum\": " << num(r.ctrl.readLatencySum)
-      << ",\n";
-    o << "    \"rowHitReads\": " << num(r.ctrl.rowHitReads) << ",\n";
-    o << "    \"rowHitWrites\": " << num(r.ctrl.rowHitWrites) << ",\n";
-    o << "    \"idleCycles\": " << num(r.ctrl.idleCycles) << ",\n";
-    o << "    \"tickCycles\": " << num(r.ctrl.tickCycles) << ",\n";
-    o << "    \"readQOccupancySum\": " << num(r.ctrl.readQOccupancySum)
-      << ",\n";
-    o << "    \"writeQOccupancySum\": "
-      << num(r.ctrl.writeQOccupancySum) << ",\n";
-    o << "    \"avgReadLatency\": " << num(r.ctrl.avgReadLatency())
-      << ",\n";
-    o << "    \"readLatencyP50\": "
-      << num(r.ctrl.readLatencyPercentile(0.50)) << ",\n";
-    o << "    \"readLatencyP95\": "
-      << num(r.ctrl.readLatencyPercentile(0.95)) << ",\n";
-    o << "    \"readLatencyP99\": "
-      << num(r.ctrl.readLatencyPercentile(0.99)) << "\n";
-    o << "  },\n";
+    const ControllerStats &c = r.ctrl;
+    o.add("ctrl", o.child()
+                      .add("readsAccepted", num(c.readsAccepted))
+                      .add("writesAccepted", num(c.writesAccepted))
+                      .add("readsMerged", num(c.readsMerged))
+                      .add("readsForwarded", num(c.readsForwarded))
+                      .add("writesCoalesced", num(c.writesCoalesced))
+                      .add("readsCompleted", num(c.readsCompleted))
+                      .add("readLatencySum", num(c.readLatencySum))
+                      .add("rowHitReads", num(c.rowHitReads))
+                      .add("rowHitWrites", num(c.rowHitWrites))
+                      .add("idleCycles", num(c.idleCycles))
+                      .add("tickCycles", num(c.tickCycles))
+                      .add("readQOccupancySum", num(c.readQOccupancySum))
+                      .add("writeQOccupancySum", num(c.writeQOccupancySum))
+                      .add("avgReadLatency", num(c.avgReadLatency()))
+                      .add("readLatencyP50",
+                           num(c.readLatencyPercentile(0.50)))
+                      .add("readLatencyP95",
+                           num(c.readLatencyPercentile(0.95)))
+                      .add("readLatencyP99",
+                           num(c.readLatencyPercentile(0.99)))
+                      .str());
 
-    o << "  \"dev\": {\n";
-    o << "    \"acts\": " << num(r.dev.acts) << ",\n";
-    o << "    \"pres\": " << num(r.dev.pres) << ",\n";
-    o << "    \"reads\": " << num(r.dev.reads) << ",\n";
-    o << "    \"writes\": " << num(r.dev.writes) << ",\n";
-    o << "    \"autoPres\": " << num(r.dev.autoPres) << ",\n";
-    o << "    \"refreshes\": " << num(r.dev.refreshes) << ",\n";
-    o << "    \"actsByTrcdReduction\": [";
-    for (std::size_t i = 0; i < 16; ++i)
-        o << (i ? ", " : "") << num(r.dev.actsByTrcdReduction[i]);
-    o << "]\n";
-    o << "  },\n";
+    const DeviceCounters &d = r.dev;
+    o.add("dev", o.child()
+                     .add("acts", num(d.acts))
+                     .add("pres", num(d.pres))
+                     .add("reads", num(d.reads))
+                     .add("writes", num(d.writes))
+                     .add("autoPres", num(d.autoPres))
+                     .add("refreshes", num(d.refreshes))
+                     .add("actsByTrcdReduction",
+                          o.list(d.actsByTrcdReduction, count))
+                     .str());
 
-    o << "  \"coreFinish\": [";
-    for (std::size_t i = 0; i < r.coreFinish.size(); ++i)
-        o << (i ? ", " : "") << num(r.coreFinish[i]);
-    o << "],\n";
-    o << "  \"coreInstrs\": [";
-    for (std::size_t i = 0; i < r.coreInstrs.size(); ++i)
-        o << (i ? ", " : "") << num(r.coreInstrs[i]);
-    o << "],\n";
-    o << "  \"hitRateEq3\": " << num(r.hitRateEq3) << ",\n";
-    o << "  \"actsPerPb\": [";
-    for (std::size_t i = 0; i < r.actsPerPb.size(); ++i)
-        o << (i ? ", " : "") << num(r.actsPerPb[i]);
-    o << "],\n";
-    o << "  \"ppmOpen\": " << num(r.ppmOpen) << ",\n";
-    o << "  \"ppmClose\": " << num(r.ppmClose) << ",\n";
+    o.add("coreFinish", o.list(r.coreFinish, count));
+    o.add("coreInstrs", o.list(r.coreInstrs, count));
+    o.add("hitRateEq3", num(r.hitRateEq3));
+    o.add("actsPerPb", o.list(r.actsPerPb, count));
+    o.add("ppmOpen", num(r.ppmOpen));
+    o.add("ppmClose", num(r.ppmClose));
 
-    o << "  \"energy\": {\n";
-    o << "    \"actPre\": " << num(r.energy.actPre) << ",\n";
-    o << "    \"read\": " << num(r.energy.read) << ",\n";
-    o << "    \"write\": " << num(r.energy.write) << ",\n";
-    o << "    \"refresh\": " << num(r.energy.refresh) << ",\n";
-    o << "    \"background\": " << num(r.energy.background) << ",\n";
-    o << "    \"deratingSavings\": " << num(r.energy.deratingSavings)
-      << "\n";
-    o << "  },\n";
+    const EnergyBreakdown &e = r.energy;
+    o.add("energy", o.child()
+                        .add("actPre", num(e.actPre))
+                        .add("read", num(e.read))
+                        .add("write", num(e.write))
+                        .add("refresh", num(e.refresh))
+                        .add("background", num(e.background))
+                        .add("deratingSavings", num(e.deratingSavings))
+                        .str());
 
     // Emitted only for metrics-carrying runs so that the default
     // (metrics-off) snapshots stay byte-identical across builds.
     if (r.metricsEnabled) {
-        o << "  \"metrics\": {\n";
-        o << "    \"samples\": " << num(r.metricsSamples) << ",\n";
-        o << "    \"intervalCycles\": " << num(r.metricsIntervalCycles)
-          << "\n";
-        o << "  },\n";
+        o.add("metrics",
+              o.child()
+                  .add("samples", num(r.metricsSamples))
+                  .add("intervalCycles", num(r.metricsIntervalCycles))
+                  .str());
     }
 
     // Emitted only for fault-injected runs so that fault-free snapshots
     // stay byte-identical to a build without the fault subsystem.
     if (r.faultsEnabled) {
-        o << "  \"faults\": {\n";
-        o << "    \"profile\": " << quoted(r.faultProfileName) << ",\n";
-        o << "    \"degradeEnabled\": "
-          << (r.degradeEnabled ? "true" : "false") << ",\n";
-        o << "    \"weakRows\": " << num(r.faultWeakRows) << ",\n";
-        o << "    \"vrtRows\": " << num(r.faultVrtRows) << ",\n";
-        o << "    \"refsDropped\": " << num(r.faultRefsDropped) << ",\n";
-        o << "    \"refsDelayed\": " << num(r.faultRefsDelayed) << ",\n";
-        o << "    \"marginViolations\": " << num(r.dev.marginViolations)
-          << ",\n";
-        o << "    \"guardProbeViolations\": "
-          << num(r.guardProbeViolations) << ",\n";
-        o << "    \"guardProbeWarnings\": " << num(r.guardProbeWarnings)
-          << ",\n";
-        o << "    \"guardQuarantines\": " << num(r.guardQuarantines)
-          << ",\n";
-        o << "    \"guardReleases\": " << num(r.guardReleases) << ",\n";
-        o << "    \"guardWidenSteps\": " << num(r.guardWidenSteps)
-          << ",\n";
-        o << "    \"guardEaseSteps\": " << num(r.guardEaseSteps)
-          << ",\n";
-        o << "    \"guardConservativeEntries\": "
-          << num(r.guardConservativeEntries) << ",\n";
-        o << "    \"guardMaxQuarantined\": "
-          << num(r.guardMaxQuarantined) << ",\n";
-        o << "    \"guardQuarantinedAtEnd\": "
-          << num(r.guardQuarantinedAtEnd) << "\n";
-        o << "  },\n";
+        o.add("faults",
+              o.child()
+                  .add("profile", quoted(r.faultProfileName))
+                  .add("degradeEnabled", flag(r.degradeEnabled))
+                  .add("weakRows", num(r.faultWeakRows))
+                  .add("vrtRows", num(r.faultVrtRows))
+                  .add("refsDropped", num(r.faultRefsDropped))
+                  .add("refsDelayed", num(r.faultRefsDelayed))
+                  .add("marginViolations", num(d.marginViolations))
+                  .add("guardProbeViolations",
+                       num(r.guardProbeViolations))
+                  .add("guardProbeWarnings", num(r.guardProbeWarnings))
+                  .add("guardQuarantines", num(r.guardQuarantines))
+                  .add("guardReleases", num(r.guardReleases))
+                  .add("guardWidenSteps", num(r.guardWidenSteps))
+                  .add("guardEaseSteps", num(r.guardEaseSteps))
+                  .add("guardConservativeEntries",
+                       num(r.guardConservativeEntries))
+                  .add("guardMaxQuarantined", num(r.guardMaxQuarantined))
+                  .add("guardQuarantinedAtEnd",
+                       num(r.guardQuarantinedAtEnd))
+                  .str());
     }
 
     if (!r.error.empty())
-        o << "  \"error\": " << quoted(r.error) << ",\n";
+        o.add("error", quoted(r.error));
 
-    o << "  \"audited\": " << (r.audited ? "true" : "false") << ",\n";
-    o << "  \"auditCommandsChecked\": " << num(r.auditCommandsChecked)
-      << ",\n";
-    o << "  \"auditViolations\": " << num(r.auditViolations) << "\n";
-    o << "}\n";
+    o.add("audited", flag(r.audited));
+    o.add("auditCommandsChecked", num(r.auditCommandsChecked));
+    o.add("auditViolations", num(r.auditViolations));
+    return o.str() + "\n";
+}
+
+std::string
+serveResultToJson(const ServeResult &r)
+{
+    JsonObject o(false);
+    o.add("serve", quoted("sharded"));
+    o.add("shards", num(std::uint64_t{r.shards}));
+    o.add("producers", num(std::uint64_t{r.producers}));
+    o.add("deterministic", flag(r.deterministic));
+    o.add("admission", quoted(admissionPolicyName(r.admission)));
+    o.add("chaos", quoted(r.chaos));
+    o.add("requests", num(r.requestsIngested));
+    o.add("produced", num(r.requestsProduced));
+    o.add("retired", num(r.requestsRetired));
+    o.add("reads_retired", num(r.readsRetired));
+    o.add("writes_retired", num(r.writesRetired));
+    o.add("shed_admission", num(r.shedAdmission));
+    o.add("shed_timeout", num(r.shedTimeout));
+    o.add("shed_poison", num(r.shedPoison));
+    o.add("shed_total", num(r.shedTotal()));
+    o.add("poisoned_injected", num(r.poisonedInjected));
+    o.add("backpressure_yields", num(r.backpressureYields));
+    o.add("backoff_rounds", num(r.backoffRounds));
+    o.add("max_shard_cycles", num(r.maxShardCycles));
+    o.add("total_shard_cycles", num(r.totalShardCycles));
+    o.add("avg_read_latency", num(r.avgReadLatency));
+    o.add("watchdog_recoveries", num(r.watchdogRecoveries));
+    o.add("watchdog_ease_steps", num(r.watchdogEaseSteps));
+    o.add("shard_retired", o.list(r.shardRetired, count));
+    o.add("shard_recoveries", o.list(r.shardRecoveries, count));
+    o.add("classes", o.list(r.classes, [&o](const ServeClassStats &c) {
+        const RunningStat &lat = c.readLatency.summary();
+        return o.child()
+            .add("produced", num(c.produced))
+            .add("retired", num(c.retired))
+            .add("shed", num(c.shedTotal()))
+            .add("shed_admission", num(c.shedAdmission))
+            .add("shed_timeout", num(c.shedTimeout))
+            .add("shed_poison", num(c.shedPoison))
+            .add("reads", num(lat.count()))
+            .add("read_latency_sum", num(lat.sum()))
+            .add("read_latency_p50", num(c.readLatency.percentile(0.50)))
+            .add("read_latency_p99", num(c.readLatency.percentile(0.99)))
+            .str();
+    }));
+    o.add("hit_cycle_cap", flag(r.hitCycleCap));
+    o.add("failed", flag(r.failed));
+    o.add("errors", o.list(r.errors, quoted));
+    o.add("audited", flag(r.audited));
+    o.add("audit_commands_checked", num(r.auditCommandsChecked));
+    o.add("audit_violations", num(r.auditViolations));
+    o.add("audit_messages", o.list(r.auditMessages, quoted));
     return o.str();
 }
 

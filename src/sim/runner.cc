@@ -5,29 +5,6 @@
 
 namespace nuat {
 
-namespace {
-
-/** Filesystem-safe short key of a SchedulerKind (CLI spelling). */
-const char *
-schedulerKindKey(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::kFcfs:
-        return "fcfs";
-      case SchedulerKind::kFrFcfsOpen:
-        return "frfcfs-open";
-      case SchedulerKind::kFrFcfsClose:
-        return "frfcfs-close";
-      case SchedulerKind::kFrFcfsAdaptive:
-        return "frfcfs-adaptive";
-      case SchedulerKind::kNuat:
-        return "nuat";
-    }
-    return "unknown";
-}
-
-} // namespace
-
 RunResult
 runExperiment(const ExperimentConfig &cfg)
 {

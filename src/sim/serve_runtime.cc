@@ -5,18 +5,13 @@
 #include <memory>
 #include <thread>
 
-#include "charge/cell_model.hh"
-#include "charge/sense_amp_model.hh"
-#include "charge/timing_derate.hh"
+#include "channel_stack.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/mpsc_queue.hh"
 #include "common/thread_annotations.hh"
-#include "dram/dram_device.hh"
-#include "mem/memory_controller.hh"
-#include "system.hh"
+#include "mem/address_mapping.hh"
 #include "trace/workload_profile.hh"
-#include "verify/protocol_auditor.hh"
 
 namespace nuat {
 
@@ -48,6 +43,19 @@ parseAdmissionPolicy(const std::string &name, AdmissionPolicy *out)
     return true;
 }
 
+namespace {
+
+/** The serve view of the experiment: shards are the channels. */
+ExperimentConfig
+serveExperiment(const ServeConfig &cfg)
+{
+    ExperimentConfig exp = cfg.experiment;
+    exp.geometry.channels = cfg.shards;
+    return exp;
+}
+
+} // namespace
+
 void
 ServeConfig::validate() const
 {
@@ -68,10 +76,9 @@ ServeConfig::validate() const
                     watchdogMaxRecoveries >= 1 &&
                     watchdogCleanPolls >= 1,
                 "(watchdog parameters must be positive)");
-    nuat_assert(!experiment.workloads.empty(),
-                "(serve needs at least one workload profile)");
     nuat_assert(!experiment.faultsEnabled(),
                 "(serve mode has no fault world; drop --fault-profile)");
+    serveExperiment(*this).validate();
     chaos.validate();
     for (const ChaosStall &st : chaos.stalls)
         nuat_assert(st.shard < shards,
@@ -118,16 +125,12 @@ struct AdmittedReq
  */
 struct ShardState
 {
-    std::unique_ptr<TimingDerate> derate;
-    std::unique_ptr<DramDevice> dev;
-    std::unique_ptr<MemoryController> ctrl;
-    std::unique_ptr<ProtocolAuditor> auditor;
+    ChannelStack stack;
     std::unique_ptr<MpscQueue<StreamRequest>> ring; //!< shared ingest
 
     ThreadConfined confined; //!< adopted by the shard thread
 
     Cycle now = 0; //!< this shard's private clock
-    std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t readsDone = 0;
     bool hitCap = false;
@@ -188,8 +191,7 @@ struct ProducerState
     std::uint64_t burstCount = 0;
     std::uint64_t gapRemaining = 0;
 
-    /** Deterministic-mode state machine: the in-flight request and
-     *  how many rounds its push has failed. */
+    /** The in-flight request and how many pushes of it have failed. */
     StreamRequest cur{};
     bool curValid = false;
     std::uint64_t curRounds = 0;
@@ -203,6 +205,16 @@ enum class StepOutcome
     kProgress, //!< moved requests or ticked the controller
     kIdle,     //!< nothing to do yet; waiting on producers
     kStalled,  //!< chaos stall in effect (no heartbeat)
+};
+
+/** What one producer step did with its in-flight request. */
+enum class ProducerOutcome
+{
+    kFinished, //!< stream exhausted, or the ring wedged (run failed)
+    kPushed,   //!< the request entered its shard's ring
+    kShed,     //!< the admission policy dropped the request
+    kRetry,    //!< ring full; the request waits for another attempt
+    kGap,      //!< burst-storm gap: one paced step without pushing
 };
 
 /**
@@ -302,51 +314,65 @@ struct WatchdogMonitor
  *  actually saturate the rings). */
 constexpr std::uint64_t kDetPushesPerRound = 4;
 
-} // namespace
-
-ServeResult
-runServe(const ServeConfig &cfg)
+/**
+ * One serve run: build (the constructor), drive (threaded, or the
+ * deterministic round-robin), merge.  Both drives share shardStep and
+ * producerStep verbatim.
+ */
+class ServeRun
 {
-    cfg.validate();
+  public:
+    explicit ServeRun(const ServeConfig &cfg);
+    void driveDeterministic();
+    void driveThreaded();
+    ServeResult merge();
 
-    // The serve view of the experiment: shards are the channels.
-    ExperimentConfig exp = cfg.experiment;
-    exp.geometry.channels = cfg.shards;
+  private:
+    ProducerOutcome producerStep(ProducerState &p);
+    bool producerRound(ProducerState &p);
+    void producerMain(ProducerState &p);
+    StepOutcome shardStep(ShardState &s);
+    void shardMain(ShardState &s);
+    void monitorMain();
 
-    const CellModel cell(exp.charge);
-    const SenseAmpModel sense_amp(cell);
-    NominalTiming nominal;
-    nominal.trcd = exp.timing.tRCD;
-    nominal.tras = exp.timing.tRAS;
-    nominal.trp = exp.timing.tRP;
+    /** Record @p msg and make every worker unwind. */
+    void fail(std::string msg);
 
-    DramGeometry chan_geom = exp.geometry;
-    chan_geom.channels = 1;
-    ControllerConfig ctrl_cfg = exp.controller;
-    ctrl_cfg.channels = cfg.shards;
+    const ServeConfig &cfg_;
+    const ExperimentConfig exp_;
+    /** ChannelMux's routing rule, shared read-only by every producer. */
+    const AddressMapping mapping_;
+    std::vector<ShardState> shards_;
+    std::vector<ProducerState> producers_;
+    WatchdogMonitor watch_;
 
+    std::atomic<bool> producersDone_ NUAT_LOCK_FREE(
+        "release-stored once every producer has finished (after the "
+        "join in threaded mode); shards acquire-load it so the final "
+        "ring re-check observes the last push"){false};
+    std::atomic<bool> abortRun_ NUAT_LOCK_FREE(
+        "release-stored by whichever worker fails the run (wedged "
+        "ring, exhausted watchdog); every loop acquire-loads it to "
+        "unwind promptly"){false};
+
+    Mutex errorsMu_;
+    std::vector<std::string> errors_ NUAT_GUARDED_BY(errorsMu_);
+};
+
+ServeRun::ServeRun(const ServeConfig &cfg)
+    : cfg_(cfg), exp_(serveExperiment(cfg)),
+      mapping_(exp_.controller.mapping, exp_.geometry),
+      shards_(cfg.shards), producers_(cfg.producers),
+      watch_(cfg, cfg.shards)
+{
     // Build every shard stack on this thread; shard threads take over
-    // after launch.  Each shard gets its own TimingDerate so no lazy
-    // charge-model state is ever shared across threads.
-    std::vector<ShardState> shards(cfg.shards);
-    for (auto &s : shards) {
-        s.derate = std::make_unique<TimingDerate>(sense_amp, nominal);
-        s.dev = std::make_unique<DramDevice>(chan_geom, exp.timing,
-                                             *s.derate);
-        s.ctrl = std::make_unique<MemoryController>(
-            *s.dev, makeSchedulerFor(exp, *s.derate), ctrl_cfg);
-        if (exp.audit) {
-            AuditorConfig acfg;
-            acfg.geometry = chan_geom;
-            acfg.timing = exp.timing;
-            acfg.derate = s.derate.get();
-            acfg.maxMessages = exp.auditMaxMessages;
-            s.auditor = std::make_unique<ProtocolAuditor>(acfg);
-            s.dev->addObserver(s.auditor.get());
-        }
+    // after launch.
+    for (unsigned i = 0; i < cfg.shards; ++i) {
+        ShardState &s = shards_[i];
+        s.stack = makeChannelStack(exp_, i);
         s.ring =
             std::make_unique<MpscQueue<StreamRequest>>(cfg.queueCapacity);
-        s.ctrl->setReadCallback(
+        s.stack.controller->setReadCallback(
             [sp = &s](const Waiter &w, Addr, Cycle data_at) {
                 ++sp->readsDone;
                 const std::size_t cls = static_cast<std::size_t>(
@@ -360,439 +386,408 @@ runServe(const ServeConfig &cfg)
             });
     }
     for (const ChaosStall &st : cfg.chaos.stalls)
-        shards[st.shard].stalls.push_back(st);
+        shards_[st.shard].stalls.push_back(st);
 
     // Producers: each owns a deterministic stream over the full
     // (sharded) address space, with the same per-stream seed salt and
     // disjoint row footprints as System gives its cores.
-    std::vector<ProducerState> producers(cfg.producers);
     const std::uint32_t stride =
-        exp.geometry.rows / cfg.producers > 0
-            ? exp.geometry.rows / cfg.producers
+        exp_.geometry.rows / cfg.producers > 0
+            ? exp_.geometry.rows / cfg.producers
             : 1;
     for (unsigned i = 0; i < cfg.producers; ++i) {
         const WorkloadProfile profile = WorkloadProfile::byName(
-            exp.workloads[i % exp.workloads.size()]);
-        producers[i].stream = std::make_unique<RequestStream>(
-            profile, exp.geometry, exp.seed + i * 7919,
+            exp_.workloads[i % exp_.workloads.size()]);
+        producers_[i].stream = std::make_unique<RequestStream>(
+            profile, exp_.geometry, exp_.seed + i * 7919,
             cfg.requestsPerProducer,
-            (i * stride) % exp.geometry.rows);
-        producers[i].producerIdx = i;
-        producers[i].backoff = SpinBackoff(cfg.backoffInitialYields,
-                                           cfg.backoffCapYields);
+            (i * stride) % exp_.geometry.rows);
+        producers_[i].producerIdx = i;
+        producers_[i].backoff = SpinBackoff(cfg.backoffInitialYields,
+                                            cfg.backoffCapYields);
     }
+}
 
-    // ChannelMux's routing rule, shared read-only by every producer.
-    const AddressMapping mapping(exp.controller.mapping, exp.geometry);
-    std::atomic<bool> producersDone NUAT_LOCK_FREE(
-        "release-stored by the launcher after joining every producer; "
-        "shards acquire-load it so the final ring re-check observes "
-        "the last push"){false};
-    std::atomic<bool> abortRun NUAT_LOCK_FREE(
-        "release-stored by whichever worker fails the run (wedged "
-        "ring, exhausted watchdog); every loop acquire-loads it to "
-        "unwind promptly"){false};
+void
+ServeRun::fail(std::string msg)
+{
+    {
+        MutexLock lock(errorsMu_);
+        errors_.push_back(std::move(msg));
+    }
+    // release: the error record happens-before any worker observing
+    // the abort.
+    abortRun_.store(true, std::memory_order_release);
+}
 
-    Mutex errorsMu;
-    std::vector<std::string> errors NUAT_GUARDED_BY(errorsMu);
-    auto recordError = [&](std::string msg) {
-        MutexLock lock(errorsMu);
-        errors.push_back(std::move(msg));
-    };
-
-    WatchdogMonitor watch(cfg, shards.size());
-    const Cycle cap = exp.maxMemCycles;
-
-    // Draw the next request from a producer's stream, applying the
-    // chaos poison draw (stateless hash of (seed, producer, index) —
-    // both execution modes inject identical poison).
-    auto drawNext = [&](ProducerState &p, StreamRequest &r) {
-        if (!p.stream->next(r))
-            return false;
-        if (chaosPoisons(cfg.chaos, exp.seed, p.producerIdx,
-                         p.reqIndex)) {
-            r.poisoned = true;
+/**
+ * One producer step: honor the burst gap, draw a request when none is
+ * in flight, attempt one push, and on a full ring let the admission
+ * policy decide what it costs.  This is the one copy of the
+ * admission / shed / wedge decision; the in-flight request and its
+ * failed attempts live in ProducerState, so each execution mode only
+ * chooses what a retry waits for (a backoff pause, or the next round).
+ */
+ProducerOutcome
+ServeRun::producerStep(ProducerState &p)
+{
+    if (p.finished)
+        return ProducerOutcome::kFinished;
+    // Adopt the producer state: off-thread touches panic (debug).
+    p.confined.assertOwned("ProducerState");
+    if (p.gapRemaining > 0) {
+        --p.gapRemaining;
+        return ProducerOutcome::kGap;
+    }
+    if (!p.curValid) {
+        if (!p.stream->next(p.cur)) {
+            p.finished = true;
+            return ProducerOutcome::kFinished;
+        }
+        // The poison draw is a stateless hash of (seed, producer,
+        // index): both execution modes inject identical poison.
+        if (chaosPoisons(cfg_.chaos, exp_.seed, p.producerIdx,
+                         p.reqIndex++)) {
+            p.cur.poisoned = true;
             ++p.poisonedInjected;
         }
-        ++p.producedByClass[r.cls];
-        ++p.reqIndex;
-        return true;
-    };
-
-    auto advanceBurst = [&](ProducerState &p) {
-        if (cfg.chaos.burstLen == 0)
-            return false;
-        if (++p.burstCount >= cfg.chaos.burstLen) {
-            p.burstCount = 0;
-            p.gapRemaining = cfg.chaos.burstGap;
-            return true;
-        }
-        return false;
-    };
-
-    /**
-     * One shard step, shared verbatim between the threaded loop and
-     * the deterministic round-robin: chaos stall bookkeeping, then
-     * ingest (ring → admitted, shedding poison), dispatch (admitted →
-     * controller, shedding expired deadlines), drain check, tick.
-     */
-    auto shardStep = [&](ShardState &s) -> StepOutcome {
-        // Debug-asserted confinement: this thread (and after the
-        // join, only the merge code) may touch the shard stack.
-        s.confined.assertOwned("ShardState");
-
-        if (s.stallRemaining == 0 && s.nextStall < s.stalls.size() &&
-            s.steps >= s.stalls[s.nextStall].atStep) {
-            s.stallRemaining = s.stalls[s.nextStall].forSteps;
-            ++s.nextStall;
-        }
-        if (s.stallRemaining > 0) {
-            // Stalled: no heartbeat, no work — the watchdog sees the
-            // frozen counter.  Honoring a recovery request restarts
-            // the step loop; the ring, admitted stage and controller
-            // are their own checkpoint (nothing is lost), which is
-            // what makes conservation provable across recoveries.
-            if (s.recoverReq.load(std::memory_order_acquire)) {
-                s.recoverReq.store(false, std::memory_order_relaxed);
-                s.stallRemaining = 0;
-                ++s.recoveries;
-            } else {
-                --s.stallRemaining;
-                return StepOutcome::kStalled;
-            }
-        } else if (s.recoverReq.load(std::memory_order_relaxed)) {
-            // Watchdog misfire on a healthy-but-descheduled shard:
-            // clear the request without counting a recovery.
-            s.recoverReq.store(false, std::memory_order_relaxed);
-        }
-        ++s.steps;
-        // relaxed: freshness is all the watchdog needs (see decl).
-        s.heartbeat.store(s.steps, std::memory_order_relaxed);
-
-        // Ingest: ring → admitted stage.  Poisoned payloads fail the
-        // integrity check here and are shed before ever reaching the
-        // controller.
-        unsigned moved = 0;
-        while (moved < cfg.ingestBatch &&
-               s.admitted.size() < cfg.admitCapacity) {
-            StreamRequest r;
-            if (!s.ring->tryPop(r))
-                break;
-            ++moved;
-            if (r.poisoned) {
-                ++s.poisonShed[r.cls];
-                continue;
-            }
-            s.admitted.push_back(AdmittedReq{r, s.now});
-        }
-
-        // Dispatch: admitted → controller, expiring overdue heads.
-        // Deadlines are shard-local cycles since the admit stamp.
-        while (!s.admitted.empty()) {
-            const AdmittedReq &a = s.admitted.front();
-            const Cycle deadline = cfg.deadlineCycles[a.req.cls];
-            if (deadline != 0 && s.now - a.admitAt > deadline) {
-                ++s.timeoutShed[a.req.cls];
-                s.admitted.pop_front();
-                continue;
-            }
-            if (a.req.isWrite) {
-                if (!s.ctrl->canAcceptWrite(a.req.addr))
-                    break;
-                s.ctrl->enqueueWrite(a.req.addr, s.now);
-                ++s.writes;
-                ++s.retiredByClass[a.req.cls];
-            } else {
-                if (!s.ctrl->canAcceptRead(a.req.addr))
-                    break;
-                s.ctrl->enqueueRead(
-                    a.req.addr,
-                    Waiter{static_cast<int>(a.req.cls), a.admitAt},
-                    s.now);
-                ++s.reads;
-            }
-            s.admitted.pop_front();
-        }
-
-        if (s.ctrl->idle() && s.admitted.empty()) {
-            // Drained.  Either the run is over or the producers are
-            // just slower than this shard: re-check the ring *after*
-            // observing the done flag, closing the race with a
-            // producer's final push.  acquire: pairs with the
-            // launcher's release store after the join.
-            if (producersDone.load(std::memory_order_acquire)) {
-                StreamRequest r;
-                if (s.ring->tryPop(r)) {
-                    if (r.poisoned)
-                        ++s.poisonShed[r.cls];
-                    else
-                        s.admitted.push_back(AdmittedReq{r, s.now});
-                    return StepOutcome::kProgress;
-                }
-                return StepOutcome::kDone;
-            }
-            return StepOutcome::kIdle;
-        }
-
-        if (s.now >= cap) {
-            s.hitCap = true;
-            return StepOutcome::kDone;
-        }
-        s.ctrl->tick(s.now);
-        ++s.now;
-        return StepOutcome::kProgress;
-    };
-
-    auto shardMain = [&](ShardState &s) {
-        for (;;) {
-            // acquire: observe the failing worker's error record.
-            if (abortRun.load(std::memory_order_acquire))
-                break;
-            const StepOutcome o = shardStep(s);
-            if (o == StepOutcome::kDone)
-                break;
-            if (o == StepOutcome::kIdle || o == StepOutcome::kStalled)
-                std::this_thread::yield();
-        }
-        // release: final counters happen-before the watchdog (or the
-        // merge) observing the exit.
-        s.done.store(true, std::memory_order_release);
-    };
-
-    auto producerMain = [&](ProducerState &p) {
-        // Adopt the producer state: off-thread touches panic (debug).
-        p.confined.assertOwned("ProducerState");
-        StreamRequest r;
-        while (!abortRun.load(std::memory_order_acquire)) {
-            if (!drawNext(p, r))
-                break;
-            const unsigned shard = mapping.decompose(r.addr).channel;
-            MpscQueue<StreamRequest> &ring = *shards[shard].ring;
-            p.backoff.reset();
-            std::uint64_t attempts = 0;
-            bool pushed = false;
-            for (;;) {
-                if (ring.tryPush(r)) {
-                    pushed = true;
-                    break;
-                }
-                ++attempts;
-                ++p.yields;
-                // Admission policy decides what a full ring costs.
-                if (cfg.admission == AdmissionPolicy::kShed &&
-                    r.cls != 0)
-                    break; // shed best-effort classes immediately
-                if (cfg.admission != AdmissionPolicy::kBlock &&
-                    attempts >= cfg.retryPushRounds)
-                    break; // bounded retry budget spent
-                if (cfg.admission == AdmissionPolicy::kBlock &&
-                    attempts >= cfg.blockPushRounds) {
-                    recordError(
-                        "producer " +
-                        std::to_string(p.producerIdx) + ": shard " +
-                        std::to_string(shard) + " ring still full "
-                        "after " + std::to_string(attempts) +
-                        " push attempts; declaring it wedged");
-                    // release: the error record happens-before any
-                    // worker observing the abort.
-                    abortRun.store(true, std::memory_order_release);
-                    break;
-                }
-                ++p.backoffRounds;
-                p.yields += p.backoff.pause();
-                if (abortRun.load(std::memory_order_acquire))
-                    break;
-            }
-            if (pushed)
-                ++p.pushed;
-            else
-                ++p.shedByClass[r.cls];
-            if (advanceBurst(p)) {
-                // Burst gap: pause without pushing (chaos pacing).
-                for (std::uint64_t i = 0;
-                     i < p.gapRemaining &&
-                     !abortRun.load(std::memory_order_relaxed);
-                     ++i)
-                    std::this_thread::yield();
-                p.gapRemaining = 0;
-            }
-        }
-    };
-
-    /**
-     * One deterministic producer round: honor the burst gap, then
-     * attempt up to the round's push budget.  A failed push costs the
-     * round (one attempt per round — `curRounds` is the deterministic
-     * stand-in for the threaded retry count).
-     * @return true when the producer has nothing left to do.
-     */
-    auto producerStepDet = [&](ProducerState &p) -> bool {
-        if (p.finished)
-            return true;
-        p.confined.assertOwned("ProducerState");
-        if (p.gapRemaining > 0) {
-            --p.gapRemaining;
-            return false;
-        }
-        std::uint64_t budget =
-            cfg.chaos.burstLen > 0
-                ? cfg.chaos.burstLen - p.burstCount
-                : kDetPushesPerRound;
-        while (budget > 0) {
-            if (!p.curValid) {
-                if (!drawNext(p, p.cur)) {
-                    p.finished = true;
-                    return true;
-                }
-                p.curValid = true;
-                p.curRounds = 0;
-            }
-            const unsigned shard =
-                mapping.decompose(p.cur.addr).channel;
-            if (shards[shard].ring->tryPush(p.cur)) {
-                ++p.pushed;
-                p.curValid = false;
-                --budget;
-                if (advanceBurst(p))
-                    return false; // gap starts next round
-                continue;
-            }
-            ++p.yields;
-            ++p.curRounds;
-            const std::uint8_t cls = p.cur.cls;
-            if ((cfg.admission == AdmissionPolicy::kShed &&
-                 cls != 0) ||
-                (cfg.admission != AdmissionPolicy::kBlock &&
-                 p.curRounds >= cfg.retryPushRounds)) {
-                ++p.shedByClass[cls];
-                p.curValid = false;
-                --budget;
-                if (advanceBurst(p))
-                    return false;
-                continue;
-            }
-            if (cfg.admission == AdmissionPolicy::kBlock &&
-                p.curRounds >= cfg.blockPushRounds) {
-                recordError(
-                    "producer " + std::to_string(p.producerIdx) +
-                    ": shard " + std::to_string(shard) +
-                    " ring still full after " +
-                    std::to_string(p.curRounds) +
-                    " push rounds; declaring it wedged");
-                abortRun.store(true, std::memory_order_release);
-                return true;
-            }
-            return false; // one failed attempt per round
-        }
-        return false;
-    };
-
-    if (cfg.deterministic) {
-        // Cooperative round-robin on this thread: every counter is a
-        // pure function of (config, profile, seed).  The round cap is
-        // an anti-livelock backstop only — shard clocks already stop
-        // at exp.maxMemCycles.
-        const std::uint64_t roundCap = 2 * exp.maxMemCycles + 10000;
-        bool allProducersFinished = false;
-        for (std::uint64_t round = 0;; ++round) {
-            if (round >= roundCap) {
-                recordError("deterministic serve exceeded " +
-                            std::to_string(roundCap) +
-                            " rounds without draining; declaring "
-                            "livelock");
-                abortRun.store(true, std::memory_order_release);
-                break;
-            }
-            if (!allProducersFinished) {
-                bool fin = true;
-                for (auto &p : producers)
-                    fin = producerStepDet(p) && fin;
-                if (fin) {
-                    allProducersFinished = true;
-                    producersDone.store(true,
-                                        std::memory_order_release);
-                }
-            }
-            bool allShardsDone = true;
-            for (auto &s : shards) {
-                if (s.done.load(std::memory_order_relaxed))
-                    continue;
-                if (shardStep(s) == StepOutcome::kDone)
-                    s.done.store(true, std::memory_order_relaxed);
-                else
-                    allShardsDone = false;
-            }
-            if (abortRun.load(std::memory_order_acquire))
-                break;
-            if (cfg.watchdog && round > 0 &&
-                round % cfg.watchdogPollRounds == 0) {
-                if (!watch.poll(shards)) {
-                    recordError(watch.error);
-                    abortRun.store(true, std::memory_order_release);
-                    break;
-                }
-            }
-            if (allProducersFinished && allShardsDone)
-                break;
-        }
+        ++p.producedByClass[p.cur.cls];
+        p.curValid = true;
+        p.curRounds = 0;
+    }
+    const unsigned shard = mapping_.decompose(p.cur.addr).channel;
+    ProducerOutcome out = ProducerOutcome::kPushed;
+    if (shards_[shard].ring->tryPush(p.cur)) {
+        ++p.pushed;
     } else {
-        std::vector<std::thread> pool;
-        pool.reserve(cfg.shards);
-        for (auto &s : shards)
-            pool.emplace_back([&shardMain, &s] { shardMain(s); });
-
-        std::thread monitor;
-        if (cfg.watchdog) {
-            monitor = std::thread([&] {
-                for (;;) {
-                    if (abortRun.load(std::memory_order_acquire))
-                        return;
-                    bool allDone = true;
-                    for (const auto &s : shards)
-                        allDone =
-                            allDone &&
-                            s.done.load(std::memory_order_acquire);
-                    if (allDone)
-                        return;
-                    for (unsigned i = 0;
-                         i < cfg.watchdogPollYields &&
-                         !abortRun.load(std::memory_order_relaxed);
-                         ++i)
-                        std::this_thread::yield();
-                    if (!watch.poll(shards)) {
-                        recordError(watch.error);
-                        abortRun.store(true,
-                                       std::memory_order_release);
-                        return;
-                    }
-                }
-            });
+        ++p.yields;
+        ++p.curRounds;
+        // Shed best-effort classes at once under kShed, and anything
+        // whose bounded retry budget is spent.
+        const std::uint8_t cls = p.cur.cls;
+        if ((cfg_.admission == AdmissionPolicy::kShed && cls != 0) ||
+            (cfg_.admission != AdmissionPolicy::kBlock &&
+             p.curRounds >= cfg_.retryPushRounds)) {
+            ++p.shedByClass[cls];
+            out = ProducerOutcome::kShed;
+        } else if (cfg_.admission == AdmissionPolicy::kBlock &&
+                   p.curRounds >= cfg_.blockPushRounds) {
+            fail("producer " + std::to_string(p.producerIdx) +
+                 ": shard " + std::to_string(shard) +
+                 " ring still full after " +
+                 std::to_string(p.curRounds) +
+                 " push attempts; declaring it wedged");
+            p.finished = true;
+            return ProducerOutcome::kFinished;
+        } else {
+            return ProducerOutcome::kRetry;
         }
+    }
+    // The request left the producer: a finished burst arms the gap.
+    p.curValid = false;
+    if (cfg_.chaos.burstLen > 0 && ++p.burstCount >= cfg_.chaos.burstLen) {
+        p.burstCount = 0;
+        p.gapRemaining = cfg_.chaos.burstGap;
+    }
+    return out;
+}
 
-        std::vector<std::thread> feeders;
-        feeders.reserve(cfg.producers);
-        for (auto &p : producers)
-            feeders.emplace_back(
-                [&producerMain, &p] { producerMain(p); });
-        for (auto &t : feeders)
-            t.join();
-        // release: everything the producers wrote (ring slots,
-        // counters) happens-before a shard's acquire load of the
-        // done flag.
-        producersDone.store(true, std::memory_order_release);
-        for (auto &t : pool)
-            t.join();
-        if (monitor.joinable())
-            monitor.join();
+/**
+ * One deterministic producer round: steps until the round's push
+ * budget is spent (a whole burst inside a storm), a burst ends, or a
+ * push fails.  A failed push costs the round, so `curRounds` counts
+ * rounds — the deterministic stand-in for the threaded retry count.
+ * @return true when the producer has nothing left to do.
+ */
+bool
+ServeRun::producerRound(ProducerState &p)
+{
+    std::uint64_t budget = cfg_.chaos.burstLen > 0
+                               ? cfg_.chaos.burstLen - p.burstCount
+                               : kDetPushesPerRound;
+    for (;;) {
+        switch (producerStep(p)) {
+          case ProducerOutcome::kFinished:
+            return true;
+          case ProducerOutcome::kRetry:
+          case ProducerOutcome::kGap:
+            return false;
+          case ProducerOutcome::kPushed:
+          case ProducerOutcome::kShed:
+            // A finished burst starts its gap next round.
+            if (--budget == 0 || p.gapRemaining > 0)
+                return false;
+            break;
+        }
+    }
+}
+
+/** Threaded producer: a retry pauses on the SpinBackoff schedule, a
+ *  gap step yields once. */
+void
+ServeRun::producerMain(ProducerState &p)
+{
+    // acquire: observe the failing worker's error record.
+    while (!abortRun_.load(std::memory_order_acquire)) {
+        switch (producerStep(p)) {
+          case ProducerOutcome::kFinished:
+            return;
+          case ProducerOutcome::kRetry:
+            ++p.backoffRounds;
+            p.yields += p.backoff.pause();
+            break;
+          case ProducerOutcome::kGap:
+            std::this_thread::yield();
+            break;
+          case ProducerOutcome::kPushed:
+          case ProducerOutcome::kShed:
+            p.backoff.reset();
+            break;
+        }
+    }
+}
+
+/**
+ * One shard step: chaos stall bookkeeping, then ingest (ring →
+ * admitted, shedding poison), dispatch (admitted → controller,
+ * shedding expired deadlines), drain check, tick.
+ */
+StepOutcome
+ServeRun::shardStep(ShardState &s)
+{
+    // Debug-asserted confinement: this thread (and after the join,
+    // only the merge code) may touch the shard stack.
+    s.confined.assertOwned("ShardState");
+    MemoryController &ctrl = *s.stack.controller;
+
+    if (s.stallRemaining == 0 && s.nextStall < s.stalls.size() &&
+        s.steps >= s.stalls[s.nextStall].atStep) {
+        s.stallRemaining = s.stalls[s.nextStall].forSteps;
+        ++s.nextStall;
+    }
+    if (s.stallRemaining > 0) {
+        // Stalled: no heartbeat, no work — the watchdog sees the
+        // frozen counter.  Honoring a recovery request restarts the
+        // step loop; the ring, admitted stage and controller are their
+        // own checkpoint (nothing is lost), which is what makes
+        // conservation provable across recoveries.
+        if (s.recoverReq.load(std::memory_order_acquire)) {
+            s.recoverReq.store(false, std::memory_order_relaxed);
+            s.stallRemaining = 0;
+            ++s.recoveries;
+        } else {
+            --s.stallRemaining;
+            return StepOutcome::kStalled;
+        }
+    } else if (s.recoverReq.load(std::memory_order_relaxed)) {
+        // Watchdog misfire on a healthy-but-descheduled shard: clear
+        // the request without counting a recovery.
+        s.recoverReq.store(false, std::memory_order_relaxed);
+    }
+    ++s.steps;
+    // relaxed: freshness is all the watchdog needs (see decl).
+    s.heartbeat.store(s.steps, std::memory_order_relaxed);
+
+    // Ingest: ring → admitted stage.  Poisoned payloads fail the
+    // integrity check here and are shed before ever reaching the
+    // controller.
+    unsigned moved = 0;
+    while (moved < cfg_.ingestBatch &&
+           s.admitted.size() < cfg_.admitCapacity) {
+        StreamRequest r;
+        if (!s.ring->tryPop(r))
+            break;
+        ++moved;
+        if (r.poisoned) {
+            ++s.poisonShed[r.cls];
+            continue;
+        }
+        s.admitted.push_back(AdmittedReq{r, s.now});
     }
 
+    // Dispatch: admitted → controller, expiring overdue heads.
+    // Deadlines are shard-local cycles since the admit stamp.
+    while (!s.admitted.empty()) {
+        const AdmittedReq &a = s.admitted.front();
+        const Cycle deadline = cfg_.deadlineCycles[a.req.cls];
+        if (deadline != 0 && s.now - a.admitAt > deadline) {
+            ++s.timeoutShed[a.req.cls];
+            s.admitted.pop_front();
+            continue;
+        }
+        if (a.req.isWrite) {
+            if (!ctrl.canAcceptWrite(a.req.addr))
+                break;
+            ctrl.enqueueWrite(a.req.addr, s.now);
+            ++s.writes;
+            ++s.retiredByClass[a.req.cls];
+        } else {
+            if (!ctrl.canAcceptRead(a.req.addr))
+                break;
+            ctrl.enqueueRead(a.req.addr,
+                             Waiter{static_cast<int>(a.req.cls),
+                                    a.admitAt},
+                             s.now);
+        }
+        s.admitted.pop_front();
+    }
+
+    if (ctrl.idle() && s.admitted.empty()) {
+        // Drained.  Either the run is over or the producers are just
+        // slower than this shard: re-check the ring *after* observing
+        // the done flag, closing the race with a producer's final
+        // push.  acquire: pairs with the release store once every
+        // producer has finished.
+        if (producersDone_.load(std::memory_order_acquire)) {
+            StreamRequest r;
+            if (s.ring->tryPop(r)) {
+                if (r.poisoned)
+                    ++s.poisonShed[r.cls];
+                else
+                    s.admitted.push_back(AdmittedReq{r, s.now});
+                return StepOutcome::kProgress;
+            }
+            return StepOutcome::kDone;
+        }
+        return StepOutcome::kIdle;
+    }
+
+    if (s.now >= exp_.maxMemCycles) {
+        s.hitCap = true;
+        return StepOutcome::kDone;
+    }
+    ctrl.tick(s.now);
+    ++s.now;
+    return StepOutcome::kProgress;
+}
+
+void
+ServeRun::shardMain(ShardState &s)
+{
+    for (;;) {
+        // acquire: observe the failing worker's error record.
+        if (abortRun_.load(std::memory_order_acquire))
+            break;
+        const StepOutcome o = shardStep(s);
+        if (o == StepOutcome::kDone)
+            break;
+        if (o == StepOutcome::kIdle || o == StepOutcome::kStalled)
+            std::this_thread::yield();
+    }
+    // release: final counters happen-before the watchdog (or the
+    // merge) observing the exit.
+    s.done.store(true, std::memory_order_release);
+}
+
+void
+ServeRun::monitorMain()
+{
+    for (;;) {
+        if (abortRun_.load(std::memory_order_acquire))
+            return;
+        bool allDone = true;
+        for (const auto &s : shards_)
+            allDone = allDone && s.done.load(std::memory_order_acquire);
+        if (allDone)
+            return;
+        for (unsigned i = 0;
+             i < cfg_.watchdogPollYields &&
+             !abortRun_.load(std::memory_order_relaxed);
+             ++i)
+            std::this_thread::yield();
+        if (!watch_.poll(shards_)) {
+            fail(watch_.error);
+            return;
+        }
+    }
+}
+
+void
+ServeRun::driveDeterministic()
+{
+    // Each round: one producer round per producer, one step per shard,
+    // a periodic inline watchdog poll.  The round cap is an
+    // anti-livelock backstop only — shard clocks already stop at
+    // exp_.maxMemCycles.
+    const std::uint64_t roundCap = 2 * exp_.maxMemCycles + 10000;
+    bool allProducersFinished = false;
+    for (std::uint64_t round = 0;; ++round) {
+        if (round >= roundCap) {
+            fail("deterministic serve exceeded " +
+                 std::to_string(roundCap) +
+                 " rounds without draining; declaring livelock");
+            break;
+        }
+        if (!allProducersFinished) {
+            bool fin = true;
+            for (auto &p : producers_)
+                fin = producerRound(p) && fin;
+            if (fin) {
+                allProducersFinished = true;
+                producersDone_.store(true, std::memory_order_release);
+            }
+        }
+        bool allShardsDone = true;
+        for (auto &s : shards_) {
+            if (s.done.load(std::memory_order_relaxed))
+                continue;
+            if (shardStep(s) == StepOutcome::kDone)
+                s.done.store(true, std::memory_order_relaxed);
+            else
+                allShardsDone = false;
+        }
+        if (abortRun_.load(std::memory_order_acquire))
+            break;
+        if (cfg_.watchdog && round > 0 &&
+            round % cfg_.watchdogPollRounds == 0 && !watch_.poll(shards_)) {
+            fail(watch_.error);
+            break;
+        }
+        if (allProducersFinished && allShardsDone)
+            break;
+    }
+}
+
+void
+ServeRun::driveThreaded()
+{
+    std::vector<std::thread> pool;
+    pool.reserve(shards_.size());
+    for (auto &s : shards_)
+        pool.emplace_back([this, &s] { shardMain(s); });
+
+    std::thread monitor;
+    if (cfg_.watchdog)
+        monitor = std::thread([this] { monitorMain(); });
+
+    std::vector<std::thread> feeders;
+    feeders.reserve(producers_.size());
+    for (auto &p : producers_)
+        feeders.emplace_back([this, &p] { producerMain(p); });
+    for (auto &t : feeders)
+        t.join();
+    // release: everything the producers wrote (ring slots, counters)
+    // happens-before a shard's acquire load of the done flag.
+    producersDone_.store(true, std::memory_order_release);
+    for (auto &t : pool)
+        t.join();
+    if (monitor.joinable())
+        monitor.join();
+}
+
+ServeResult
+ServeRun::merge()
+{
     // Batched aggregation: every counter below was accumulated
-    // thread-locally; this is the only merge point.
+    // worker-locally; this is the only merge point.
     ServeResult res;
-    res.shards = cfg.shards;
-    res.producers = cfg.producers;
-    res.deterministic = cfg.deterministic;
-    for (const auto &p : producers) {
+    res.shards = cfg_.shards;
+    res.producers = cfg_.producers;
+    res.deterministic = cfg_.deterministic;
+    res.admission = cfg_.admission;
+    if (cfg_.chaosEnabled())
+        res.chaos = cfg_.chaos.name;
+    for (const auto &p : producers_) {
         res.requestsIngested += p.pushed;
         res.backpressureYields += p.yields;
         res.backoffRounds += p.backoffRounds;
@@ -802,9 +797,9 @@ runServe(const ServeConfig &cfg)
             res.classes[k].shedAdmission += p.shedByClass[k];
         }
     }
-    double latency_sum = 0.0;
-    std::uint64_t completed = 0;
-    for (const auto &s : shards) {
+    ChannelTotals totals;
+    for (const auto &s : shards_) {
+        totals.add(s.stack, exp_.auditMaxMessages);
         res.readsRetired += s.readsDone;
         res.writesRetired += s.writes;
         res.shardRetired.push_back(s.readsDone + s.writes);
@@ -814,8 +809,6 @@ runServe(const ServeConfig &cfg)
             res.maxShardCycles = s.now;
         res.totalShardCycles += s.now;
         res.hitCycleCap = res.hitCycleCap || s.hitCap;
-        latency_sum += s.ctrl->stats().readLatencySum;
-        completed += s.ctrl->stats().readsCompleted;
         for (unsigned k = 0; k < kServeClasses; ++k) {
             res.classes[k].retired += s.retiredByClass[k];
             res.classes[k].shedTimeout += s.timeoutShed[k];
@@ -829,101 +822,95 @@ runServe(const ServeConfig &cfg)
         res.shedTimeout += c.shedTimeout;
         res.shedPoison += c.shedPoison;
     }
-    res.watchdogEaseSteps = watch.easeSteps;
+    res.watchdogEaseSteps = watch_.easeSteps;
     res.requestsRetired = res.readsRetired + res.writesRetired;
-    res.avgReadLatency =
-        completed ? latency_sum / static_cast<double>(completed) : 0.0;
+    res.avgReadLatency = totals.ctrl.avgReadLatency();
     {
-        MutexLock lock(errorsMu);
-        res.errors = errors;
+        MutexLock lock(errorsMu_);
+        res.errors = errors_;
     }
     res.failed = !res.errors.empty();
-    if (exp.audit) {
-        AuditReport merged;
-        for (const auto &s : shards)
-            merged.merge(s.auditor->report(), exp.auditMaxMessages);
+    if (totals.audited) {
         res.audited = true;
-        res.auditCommandsChecked = merged.commandsChecked;
-        res.auditViolations = merged.violations;
-        res.auditMessages = std::move(merged.messages);
+        res.auditCommandsChecked = totals.audit.commandsChecked;
+        res.auditViolations = totals.audit.violations;
+        res.auditMessages = std::move(totals.audit.messages);
     }
     return res;
+}
+
+} // namespace
+
+ServeResult
+runServe(const ServeConfig &cfg)
+{
+    cfg.validate();
+    ServeRun run(cfg);
+    if (cfg.deterministic)
+        run.driveDeterministic();
+    else
+        run.driveThreaded();
+    return run.merge();
 }
 
 void
 publishServeMetrics(const ServeResult &res, MetricRegistry &registry)
 {
-    registry
-        .counter("serve.produced",
-                 "requests drawn from the producer streams")
-        .inc(res.requestsProduced);
-    registry
-        .counter("serve.ingested",
-                 "requests pushed into the shard ingest rings")
-        .inc(res.requestsIngested);
-    registry
-        .counter("serve.retired",
-                 "requests completed by the controllers")
-        .inc(res.requestsRetired);
-    registry.counter("serve.reads_retired", "reads whose data returned")
-        .inc(res.readsRetired);
-    registry.counter("serve.writes_retired", "writes accepted (posted)")
-        .inc(res.writesRetired);
-    registry
-        .counter("serve.shed_admission",
-                 "requests shed at a full ingest ring")
-        .inc(res.shedAdmission);
-    registry
-        .counter("serve.shed_timeout",
-                 "requests shed past their dispatch deadline")
-        .inc(res.shedTimeout);
-    registry
-        .counter("serve.shed_poison",
-                 "requests shed by the ingest integrity check")
-        .inc(res.shedPoison);
-    registry
-        .counter("serve.poisoned_injected",
-                 "chaos-poisoned requests injected by producers")
-        .inc(res.poisonedInjected);
-    registry
-        .counter("serve.backpressure_yields",
-                 "producer yields at a full ring")
-        .inc(res.backpressureYields);
-    registry
-        .counter("serve.backoff_rounds",
-                 "producer SpinBackoff pauses")
-        .inc(res.backoffRounds);
-    registry
-        .counter("serve.watchdog_recoveries",
-                 "shard recoveries honored after a watchdog request")
-        .inc(res.watchdogRecoveries);
-    registry
-        .counter("serve.watchdog_ease_steps",
-                 "hysteresis easings after sustained clean polls")
-        .inc(res.watchdogEaseSteps);
+    struct Count
+    {
+        const char *name;
+        const char *help;
+        std::uint64_t value;
+    };
+    const Count totals[] = {
+        {"produced", "requests drawn from the producer streams",
+         res.requestsProduced},
+        {"ingested", "requests pushed into the shard ingest rings",
+         res.requestsIngested},
+        {"retired", "requests completed by the controllers",
+         res.requestsRetired},
+        {"reads_retired", "reads whose data returned", res.readsRetired},
+        {"writes_retired", "writes accepted (posted)", res.writesRetired},
+        {"shed_admission", "requests shed at a full ingest ring",
+         res.shedAdmission},
+        {"shed_timeout", "requests shed past their dispatch deadline",
+         res.shedTimeout},
+        {"shed_poison", "requests shed by the ingest integrity check",
+         res.shedPoison},
+        {"poisoned_injected",
+         "chaos-poisoned requests injected by producers",
+         res.poisonedInjected},
+        {"backpressure_yields", "producer yields at a full ring",
+         res.backpressureYields},
+        {"backoff_rounds", "producer SpinBackoff pauses",
+         res.backoffRounds},
+        {"watchdog_recoveries",
+         "shard recoveries honored after a watchdog request",
+         res.watchdogRecoveries},
+        {"watchdog_ease_steps",
+         "hysteresis easings after sustained clean polls",
+         res.watchdogEaseSteps},
+    };
+    for (const Count &c : totals)
+        registry.counter(std::string("serve.") + c.name, c.help)
+            .inc(c.value);
     for (unsigned k = 0; k < kServeClasses; ++k) {
         const std::string prefix = "serve.c" + std::to_string(k) + ".";
         const ServeClassStats &c = res.classes[k];
-        registry
-            .counter(prefix + "produced",
-                     "requests of this priority class produced")
-            .inc(c.produced);
-        registry
-            .counter(prefix + "retired",
-                     "requests of this priority class retired")
-            .inc(c.retired);
-        registry
-            .counter(prefix + "shed_admission",
-                     "admission sheds of this priority class")
-            .inc(c.shedAdmission);
-        registry
-            .counter(prefix + "shed_timeout",
-                     "deadline sheds of this priority class")
-            .inc(c.shedTimeout);
-        registry
-            .counter(prefix + "shed_poison",
-                     "integrity sheds of this priority class")
-            .inc(c.shedPoison);
+        const Count perClass[] = {
+            {"produced", "requests of this priority class produced",
+             c.produced},
+            {"retired", "requests of this priority class retired",
+             c.retired},
+            {"shed_admission", "admission sheds of this priority class",
+             c.shedAdmission},
+            {"shed_timeout", "deadline sheds of this priority class",
+             c.shedTimeout},
+            {"shed_poison", "integrity sheds of this priority class",
+             c.shedPoison},
+        };
+        for (const Count &m : perClass)
+            registry.counter(prefix + m.name, m.help).inc(m.value);
         registry
             .histogram(prefix + "read_latency", 0.0, 8.0, 256,
                        "admitted-to-data read latency [cycles]")

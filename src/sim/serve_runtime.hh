@@ -15,10 +15,12 @@
  * take, so serve mode is the multi-channel system with the channel
  * loop unrolled onto threads.
  *
- * Clock-domain rule: every shard owns its full stack (TimingDerate,
- * DramDevice, MemoryController, Scheduler, optional ProtocolAuditor)
- * and advances its own cycle counter only while it has work; shard
- * clocks are never compared or synchronized.  Nothing is shared
+ * Clock-domain rule: every shard owns one ChannelStack
+ * (sim/channel_stack.hh) — the same builder System uses for its
+ * channels, so a shard's derate, device and auditor run at the
+ * experiment's memory clock exactly as a System channel does.  A shard
+ * advances its own cycle counter only while it has work; shard clocks
+ * are never compared or synchronized.  Nothing is shared
  * between shard threads but the ingest rings and a handful of
  * annotated atomics (producers-done flag, per-shard heartbeat /
  * recovery-request words), which keeps the runtime TSan-clean by
@@ -65,9 +67,16 @@
  * priority class (ServeResult::conserves()).  Tests and the chaos CI
  * lane pin it.
  *
+ * Step machines: one shard step and one producer step (the only copy
+ * of the admission / shed / wedge decision) are shared by both
+ * execution modes.  Threaded mode loops each on its own thread — a
+ * producer retry pauses on its SpinBackoff schedule, a burst-gap step
+ * yields.  Deterministic mode round-robins them on the calling thread.
+ *
  * Determinism: with `deterministic = true` the run executes on the
- * calling thread as a cooperative round-robin (each round: one step
- * per producer, one step per shard, periodic inline watchdog poll), so
+ * calling thread as a cooperative round-robin (each round: one round
+ * of producer steps per producer — up to its push budget, ending at a
+ * failed push — one step per shard, periodic inline watchdog poll), so
  * every counter — sheds, timeouts, recoveries, latencies — is
  * byte-identical across runs with the same (config, profile, seed).
  * Threaded mode keeps the conservation invariant but interleaving-
@@ -207,7 +216,8 @@ struct ServeConfig
     /** True when the chaos profile injects anything. */
     bool chaosEnabled() const { return chaos.any(); }
 
-    /** Panics unless internally consistent. */
+    /** Panics unless internally consistent, `experiment` included
+     *  (validated with geometry.channels = shards). */
     void validate() const;
 };
 
@@ -300,6 +310,11 @@ struct ServeResult
 
     /** True when the run executed in deterministic mode. */
     bool deterministic = false;
+
+    /** The run's admission policy and chaos profile name ("none" when
+     *  no chaos was injected). */
+    AdmissionPolicy admission = AdmissionPolicy::kBlock;
+    std::string chaos = "none";
 
     /** True when the run terminated abnormally (wedged ring under
      *  kBlock, watchdog exhausted, deterministic round cap). */

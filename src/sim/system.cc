@@ -1,11 +1,6 @@
 #include "system.hh"
 
 #include "common/logging.hh"
-#include "core/nuat_scheduler.hh"
-#include "fault/fault_profile.hh"
-#include "sched/adaptive_scheduler.hh"
-#include "sched/fcfs_scheduler.hh"
-#include "sched/frfcfs_scheduler.hh"
 #include "trace/workload_profile.hh"
 
 namespace nuat {
@@ -49,112 +44,28 @@ ChannelMux::enqueueWrite(Addr addr, Cycle now)
     route(addr).enqueueWrite(addr, now);
 }
 
-std::unique_ptr<Scheduler>
-makeSchedulerFor(const ExperimentConfig &cfg,
-                 const TimingDerate &derate)
-{
-    switch (cfg.scheduler) {
-      case SchedulerKind::kFcfs:
-        return std::make_unique<FcfsScheduler>(PagePolicy::kOpen);
-      case SchedulerKind::kFrFcfsOpen:
-        return std::make_unique<FrFcfsScheduler>(PagePolicy::kOpen);
-      case SchedulerKind::kFrFcfsClose:
-        return std::make_unique<FrFcfsScheduler>(PagePolicy::kClose,
-                                                 cfg.closeGrace);
-      case SchedulerKind::kFrFcfsAdaptive:
-        return std::make_unique<AdaptiveFrFcfsScheduler>(
-            1024, 256, cfg.closeGrace);
-      case SchedulerKind::kNuat: {
-        NuatConfig nc = NuatConfig::fromDerate(derate, cfg.numPb);
-        nc.weights = cfg.weights;
-        nc.ppmEnabled = cfg.ppmEnabled;
-        nc.graceClose = cfg.closeGrace;
-        nc.starvationLimit = cfg.nuatStarvationLimit;
-        nc.pbElementEnabled = cfg.pbElementEnabled;
-        nc.boundaryElementEnabled = cfg.boundaryElementEnabled;
-        nc.guardband = cfg.guardband;
-        nc.guardband.enabled =
-            cfg.faultsEnabled() && cfg.faultDegrade;
-        return std::make_unique<NuatScheduler>(nc);
-      }
-    }
-    nuat_panic("unhandled scheduler kind");
-}
-
-std::unique_ptr<Scheduler>
-System::makeScheduler() const
-{
-    return makeSchedulerFor(cfg_, *derate_);
-}
-
 System::System(const ExperimentConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
 
-    const CellModel cell(cfg_.charge);
-    const SenseAmpModel sense_amp(cell);
-    NominalTiming nominal;
-    nominal.trcd = cfg_.timing.tRCD;
-    nominal.tras = cfg_.timing.tRAS;
-    nominal.trp = cfg_.timing.tRP;
-    derate_ =
-        std::make_unique<TimingDerate>(sense_amp, nominal, cfg_.memClock());
-
-    // One device + controller + scheduler instance per channel.
     const unsigned channels = cfg_.geometry.channels;
-    DramGeometry chan_geom = cfg_.geometry;
-    chan_geom.channels = 1;
-    ControllerConfig ctrl_cfg = cfg_.controller;
-    ctrl_cfg.channels = channels;
-    FaultProfile fault_profile;
-    if (cfg_.faultsEnabled())
-        fault_profile = resolveFaultProfile(cfg_.faultProfile);
-
+    channels_.reserve(channels);
     std::vector<MemoryController *> ports;
     for (unsigned ch = 0; ch < channels; ++ch) {
-        devices_.push_back(std::make_unique<DramDevice>(
-            chan_geom, cfg_.timing, *derate_, cfg_.memClock()));
-        if (cfg_.faultsEnabled()) {
-            // Channel-salted seed so multi-channel fault worlds differ
-            // but stay a pure function of the experiment seed.
-            const RefreshEngine &re = devices_.back()->refresh(RankId{0});
-            faults_.push_back(std::make_unique<FaultModel>(
-                fault_profile,
-                cfg_.seed + 0x9e3779b97f4a7c15ULL * (ch + 1),
-                chan_geom.ranks, chan_geom.rows, re.rowsPerRef(),
-                re.interval(), cfg_.memClock()));
-            devices_.back()->attachFaultModel(faults_.back().get());
-        }
-        controllers_.push_back(std::make_unique<MemoryController>(
-            *devices_.back(), makeScheduler(), ctrl_cfg));
-        ports.push_back(controllers_.back().get());
+        channels_.push_back(makeChannelStack(cfg_, ch));
+        ports.push_back(channels_.back().controller.get());
     }
     mux_ = std::make_unique<ChannelMux>(
         AddressMapping(cfg_.controller.mapping, cfg_.geometry), ports);
 
-    // Passive command-stream observers: the shadow auditor re-checks
-    // every issued command against its own protocol model, the trace
-    // writer tees the stream to disk.  Neither perturbs the run.
-    if (cfg_.audit) {
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            AuditorConfig acfg;
-            acfg.geometry = chan_geom;
-            acfg.timing = cfg_.timing;
-            acfg.clock = cfg_.memClock();
-            acfg.derate = derate_.get();
-            acfg.maxMessages = cfg_.auditMaxMessages;
-            if (cfg_.faultsEnabled())
-                acfg.faults = faults_[ch].get();
-            auditors_.push_back(std::make_unique<ProtocolAuditor>(acfg));
-            devices_[ch]->addObserver(auditors_.back().get());
-        }
-    }
+    // The trace writer tees every channel's command stream to disk; it
+    // observes after the auditor and never perturbs the run.
     if (!cfg_.dumpTracePath.empty()) {
         traceWriter_ = std::make_unique<CommandTraceWriter>(
-            cfg_.dumpTracePath, channels, chan_geom, cfg_.timing,
-            cfg_.charge, cfg_.memClock());
+            cfg_.dumpTracePath, channels, channels_[0].device->geometry(),
+            cfg_.timing, cfg_.charge, cfg_.memClock());
         for (unsigned ch = 0; ch < channels; ++ch)
-            devices_[ch]->addObserver(traceWriter_->channelTap(ch));
+            channels_[ch].device->addObserver(traceWriter_->channelTap(ch));
     }
 
     // Each core gets a disjoint base row so multi-core runs contend on
@@ -179,10 +90,9 @@ System::System(const ExperimentConfig &cfg) : cfg_(cfg)
             cfg_.cpuPerMem));
     }
 
-    for (auto &mc : controllers_) {
-        mc->setReadCallback(
-            [this](const Waiter &w, Addr addr, Cycle data_at) {
-                (void)addr;
+    for (ChannelStack &stack : channels_) {
+        stack.controller->setReadCallback(
+            [this](const Waiter &w, Addr, Cycle data_at) {
                 nuat_assert(w.coreId >= 0 &&
                             static_cast<unsigned>(w.coreId) <
                                 cores_.size());
@@ -203,7 +113,7 @@ System::setupMetrics()
 #if NUAT_METRICS_ENABLED
     metrics_ = std::make_unique<MetricRegistry>();
     for (unsigned ch = 0; ch < channels(); ++ch)
-        controllers_[ch]->attachMetrics(*metrics_, ch);
+        channels_[ch].controller->attachMetrics(*metrics_, ch);
 
     // System-level pull gauges, published by a sample hook so the
     // simulation loop never touches them.
@@ -220,8 +130,9 @@ System::setupMetrics()
     }
     metrics_->addSampleHook([this, bus, refresh_rows] {
         std::uint64_t xfers = 0;
-        for (const auto &dev : devices_) {
-            xfers += dev->counters().reads + dev->counters().writes;
+        for (const ChannelStack &stack : channels_) {
+            xfers += stack.device->counters().reads +
+                     stack.device->counters().writes;
         }
         const double capacity = static_cast<double>(now_) *
                                 static_cast<double>(channels());
@@ -232,7 +143,7 @@ System::setupMetrics()
                      : 0.0);
         for (std::size_t ch = 0; ch < refresh_rows.size(); ++ch) {
             refresh_rows[ch]->set(static_cast<double>(
-                devices_[ch]->refresh(RankId{0}).nextRow().value()));
+                channels_[ch].device->refresh(RankId{0}).nextRow().value()));
         }
     });
 
@@ -269,26 +180,19 @@ System::setupMetrics()
 #endif
 }
 
-MemoryController &
-System::controller(unsigned channel)
+const ChannelStack &
+System::channel(unsigned channel) const
 {
-    nuat_assert(channel < controllers_.size());
-    return *controllers_[channel];
-}
-
-const DramDevice &
-System::device(unsigned channel) const
-{
-    nuat_assert(channel < devices_.size());
-    return *devices_[channel];
+    nuat_assert(channel < channels_.size());
+    return channels_[channel];
 }
 
 void
 System::stepMemCycle()
 {
     confined_.assertOwned("System");
-    for (auto &mc : controllers_)
-        mc->tick(now_);
+    for (ChannelStack &stack : channels_)
+        stack.controller->tick(now_);
     const CpuCycle base = static_cast<CpuCycle>(now_) * cfg_.cpuPerMem;
     for (unsigned k = 0; k < cfg_.cpuPerMem; ++k) {
         for (auto &core : cores_)
@@ -302,22 +206,22 @@ System::fastForwardIdle()
 {
     // A queued request could become issuable any cycle; only a system
     // with completely empty queues is predictable enough to skip.
-    for (const auto &mc : controllers_) {
-        if (mc->readQueueLen() != 0 || mc->writeQueueLen() != 0)
+    for (const ChannelStack &stack : channels_) {
+        const MemoryController &mc = *stack.controller;
+        if (mc.readQueueLen() != 0 || mc.writeQueueLen() != 0)
             return;
     }
 
     // Earliest cycle anything can happen: an in-flight read completes,
     // a refresh deadline arrives, or a core can retire / fetch / issue.
     Cycle target = cfg_.maxMemCycles;
-    for (const auto &mc : controllers_) {
-        const Cycle c = mc->nextCompletionAt();
+    for (const ChannelStack &stack : channels_) {
+        const Cycle c = stack.controller->nextCompletionAt();
         if (c < target)
             target = c;
-    }
-    for (const auto &dev : devices_) {
-        for (unsigned r = 0; r < dev->geometry().ranks; ++r) {
-            const Cycle due = dev->nextRefreshDueAt(RankId{r});
+        const DramDevice &dev = *stack.device;
+        for (unsigned r = 0; r < dev.geometry().ranks; ++r) {
+            const Cycle due = dev.nextRefreshDueAt(RankId{r});
             if (due < target)
                 target = due;
         }
@@ -335,8 +239,8 @@ System::fastForwardIdle()
         return;
 
     const Cycle skipped = target - now_;
-    for (auto &mc : controllers_)
-        mc->skipIdle(now_, skipped);
+    for (ChannelStack &stack : channels_)
+        stack.controller->skipIdle(now_, skipped);
     for (auto &core : cores_)
         core->skipStalled(static_cast<CpuCycle>(skipped) *
                           cfg_.cpuPerMem);
@@ -361,51 +265,12 @@ System::done() const
         if (!core->done())
             return false;
     }
-    for (const auto &mc : controllers_) {
-        if (!mc->idle())
+    for (const ChannelStack &stack : channels_) {
+        if (!stack.controller->idle())
             return false;
     }
     return true;
 }
-
-namespace {
-
-/** Merge per-channel controller stats into one record. */
-void
-mergeStats(ControllerStats &into, const ControllerStats &from)
-{
-    into.readsAccepted += from.readsAccepted;
-    into.writesAccepted += from.writesAccepted;
-    into.readsMerged += from.readsMerged;
-    into.readsForwarded += from.readsForwarded;
-    into.writesCoalesced += from.writesCoalesced;
-    into.readsCompleted += from.readsCompleted;
-    into.readLatencySum += from.readLatencySum;
-    into.rowHitReads += from.rowHitReads;
-    into.rowHitWrites += from.rowHitWrites;
-    into.idleCycles += from.idleCycles;
-    into.tickCycles += from.tickCycles;
-    into.readLatencyHist.merge(from.readLatencyHist);
-    into.readQOccupancySum += from.readQOccupancySum;
-    into.writeQOccupancySum += from.writeQOccupancySum;
-}
-
-/** Merge per-channel device counters into one record. */
-void
-mergeCounters(DeviceCounters &into, const DeviceCounters &from)
-{
-    into.acts += from.acts;
-    into.pres += from.pres;
-    into.reads += from.reads;
-    into.writes += from.writes;
-    into.autoPres += from.autoPres;
-    into.refreshes += from.refreshes;
-    into.marginViolations += from.marginViolations;
-    for (std::size_t i = 0; i < 16; ++i)
-        into.actsByTrcdReduction[i] += from.actsByTrcdReduction[i];
-}
-
-} // namespace
 
 RunResult
 System::run()
@@ -428,11 +293,13 @@ System::run()
     result.busMhz = cfg_.busMhz;
     result.idleCyclesSkipped = idleCyclesSkipped_;
 
-    for (unsigned ch = 0; ch < channels(); ++ch) {
-        mergeStats(result.ctrl, controllers_[ch]->stats());
-        mergeCounters(result.dev, devices_[ch]->counters());
-        controllers_[ch]->scheduler().reportExtra(result);
+    ChannelTotals totals;
+    for (const ChannelStack &stack : channels_) {
+        totals.add(stack, cfg_.auditMaxMessages);
+        stack.controller->scheduler().reportExtra(result);
     }
+    result.ctrl = std::move(totals.ctrl);
+    result.dev = totals.dev;
     {
         const double cols =
             static_cast<double>(result.dev.reads + result.dev.writes);
@@ -448,25 +315,22 @@ System::run()
         result.coreFinish.push_back(core->stats().finishedAt);
         result.coreInstrs.push_back(core->stats().instrsRetired);
     }
-    if (!auditors_.empty()) {
-        AuditReport merged;
-        for (const auto &auditor : auditors_)
-            merged.merge(auditor->report(), cfg_.auditMaxMessages);
+    if (totals.audited) {
         result.audited = true;
-        result.auditCommandsChecked = merged.commandsChecked;
-        result.auditViolations = merged.violations;
-        result.auditMessages = std::move(merged.messages);
+        result.auditCommandsChecked = totals.audit.commandsChecked;
+        result.auditViolations = totals.audit.violations;
+        result.auditMessages = std::move(totals.audit.messages);
     }
     NUAT_METRIC(if (sampler_) {
         result.metricsEnabled = true;
         result.metricsSamples = sampler_->samples();
         result.metricsIntervalCycles = sampler_->interval();
     });
-    if (!faults_.empty()) {
+    if (cfg_.faultsEnabled()) {
         result.faultsEnabled = true;
-        result.faultProfileName = faults_[0]->profile().name;
-        for (const auto &fm : faults_) {
-            const FaultStats &fs = fm->stats();
+        result.faultProfileName = channels_[0].faults->profile().name;
+        for (const ChannelStack &stack : channels_) {
+            const FaultStats &fs = stack.faults->stats();
             result.faultWeakRows += fs.weakRows;
             result.faultVrtRows += fs.vrtRows;
             result.faultRefsDropped += fs.refsDropped;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Full-system wiring: charge model -> DRAM devices (one per channel) ->
- * controllers + schedulers -> cores with synthetic traces.
+ * Full-system wiring: one ChannelStack per channel (charge model ->
+ * DRAM device -> controller + scheduler) -> cores with synthetic
+ * traces.
  *
  * Multi-channel operation follows the Memory Scheduling Championship
  * convention: channels interleave at cache-line granularity, each
@@ -16,32 +17,16 @@
 #include <memory>
 #include <vector>
 
-#include "charge/cell_model.hh"
-#include "charge/sense_amp_model.hh"
-#include "charge/timing_derate.hh"
+#include "channel_stack.hh"
 #include "common/metrics.hh"
 #include "common/thread_annotations.hh"
 #include "cpu/core_model.hh"
-#include "dram/dram_device.hh"
 #include "experiment_config.hh"
-#include "fault/fault_model.hh"
-#include "mem/memory_controller.hh"
 #include "mem/memory_port.hh"
 #include "trace/synthetic_trace.hh"
-#include "verify/protocol_auditor.hh"
 #include "verify/trace_capture.hh"
 
 namespace nuat {
-
-/**
- * Build the scheduler @p cfg requests, using @p derate as the charge
- * model behind NUAT's PB table.  One instance per channel (System) or
- * per shard (the serve runtime): schedulers hold per-channel state and
- * are never shared.
- */
-std::unique_ptr<Scheduler>
-makeSchedulerFor(const ExperimentConfig &cfg,
-                 const TimingDerate &derate);
 
 /** Routes core requests to the owning channel's controller. */
 class ChannelMux : public MemoryPort
@@ -80,22 +65,13 @@ class System
      */
     RunResult run();
 
-    /** Controller of @p channel (for inspection). */
-    MemoryController &controller(unsigned channel = 0);
-
-    /** Device of @p channel (for inspection). */
-    const DramDevice &device(unsigned channel = 0) const;
+    /** The components of @p channel (for inspection). */
+    const ChannelStack &channel(unsigned channel) const;
 
     /** Number of channels. */
     unsigned channels() const
     {
-        return static_cast<unsigned>(controllers_.size());
-    }
-
-    /** The cores. */
-    const std::vector<std::unique_ptr<CoreModel>> &cores() const
-    {
-        return cores_;
+        return static_cast<unsigned>(channels_.size());
     }
 
     /** Advance the machine by one memory cycle. */
@@ -116,36 +92,7 @@ class System
     /** Current memory cycle. */
     Cycle now() const { return now_; }
 
-    /** Memory cycles covered by the idle fast-forward so far. */
-    Cycle idleCyclesSkipped() const { return idleCyclesSkipped_; }
-
-    /** Auditor of @p channel; null unless cfg.audit. */
-    const ProtocolAuditor *auditor(unsigned channel = 0) const
-    {
-        return channel < auditors_.size() ? auditors_[channel].get()
-                                          : nullptr;
-    }
-
-    /** Fault world of @p channel; null unless cfg.faultsEnabled(). */
-    const FaultModel *faultModel(unsigned channel = 0) const
-    {
-        return channel < faults_.size() ? faults_[channel].get()
-                                        : nullptr;
-    }
-
-    /**
-     * The metric registry; null unless the config requested metric
-     * output and the metrics subsystem is compiled in.
-     */
-    const MetricRegistry *metricsRegistry() const
-    {
-        return metrics_.get();
-    }
-
   private:
-    /** Build the scheduler requested by the config. */
-    std::unique_ptr<Scheduler> makeScheduler() const;
-
     /**
      * Fast-forward now_ to the next cycle at which any component can
      * act, when that cycle is provably in the future (no queued
@@ -165,16 +112,10 @@ class System
     std::unique_ptr<std::ofstream> traceOut_;
     std::unique_ptr<TraceEventSink> traceSink_;
     std::unique_ptr<IntervalSampler> sampler_;
-    std::unique_ptr<TimingDerate> derate_;
-    // Declared before the devices/auditors that hold raw pointers into
-    // them, so the fault worlds outlive every observer.
-    std::vector<std::unique_ptr<FaultModel>> faults_;
-    std::vector<std::unique_ptr<DramDevice>> devices_;
-    std::vector<std::unique_ptr<MemoryController>> controllers_;
+    std::vector<ChannelStack> channels_;
     std::unique_ptr<ChannelMux> mux_;
     std::vector<std::unique_ptr<SyntheticTrace>> traces_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
-    std::vector<std::unique_ptr<ProtocolAuditor>> auditors_;
     std::unique_ptr<CommandTraceWriter> traceWriter_;
     Cycle now_ = 0;
     Cycle idleCyclesSkipped_ = 0;

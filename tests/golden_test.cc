@@ -4,7 +4,9 @@
  *
  * Runs a small fixed workload set under every scheduler and compares
  * the full RunResult — serialized through the canonical JSON encoder —
- * byte-for-byte against snapshots in tests/golden/.  Any behavioural
+ * byte-for-byte against snapshots in tests/golden/.  A second grid
+ * pins deterministic, audited serve runs (ServeResult, `serve_*`
+ * snapshots) across the chaos profiles and admission policies.  Any behavioural
  * change to the simulator (scheduling order, timing, stats accounting)
  * shows up as a diff here, so intentional changes must regenerate the
  * snapshots (tools/regen_golden.sh) and review the diff in the PR.
@@ -19,10 +21,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/result_json.hh"
 #include "sim/runner.hh"
+#include "sim/serve_runtime.hh"
 
 using namespace nuat;
 
@@ -218,35 +222,81 @@ goldenOutPath(const std::string &name)
     return goldenPath(name);
 }
 
+/** Serve cells: the nuat_serve chaos-lane shape (2 shards x 2
+ *  producers, deterministic, audited), one cell per mechanism. */
+std::vector<std::pair<std::string, ServeConfig>>
+serveGoldenCases()
+{
+    auto cell = [](const char *chaos, AdmissionPolicy admission) {
+        ServeConfig cfg;
+        cfg.experiment.workloads = {"ferret"};
+        cfg.experiment.audit = true;
+        cfg.shards = 2;
+        cfg.producers = 2;
+        cfg.requestsPerProducer = 5000;
+        cfg.queueCapacity = 256;
+        cfg.deterministic = true;
+        cfg.admission = admission;
+        if (chaos)
+            cfg.chaos = *findChaosProfile(chaos);
+        return cfg;
+    };
+    std::vector<std::pair<std::string, ServeConfig>> cases;
+    cases.emplace_back("serve_chaos_off_block",
+                       cell(nullptr, AdmissionPolicy::kBlock));
+    cases.emplace_back("serve_poison_bounded",
+                       cell("poison", AdmissionPolicy::kBoundedRetry));
+    cases.emplace_back("serve_shard_stall_block",
+                       cell("shard-stall", AdmissionPolicy::kBlock));
+    ServeConfig storm = cell("storm-stall", AdmissionPolicy::kShed);
+    storm.deadlineCycles = {{0, 2000, 300}};
+    cases.emplace_back("serve_storm_stall_shed", storm);
+    return cases;
+}
+
+/** Compare @p json with snapshot @p name, or rewrite it when
+ *  NUAT_REGEN_GOLDEN is set. */
+void
+checkSnapshot(const std::string &name, const std::string &json)
+{
+    if (std::getenv("NUAT_REGEN_GOLDEN") != nullptr) {
+        const std::string out_path = goldenOutPath(name);
+        std::ofstream out(out_path);
+        ASSERT_TRUE(out) << "cannot write " << out_path;
+        out << json;
+        return;
+    }
+
+    const std::string path = goldenPath(name);
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing snapshot " << path
+                    << " — run tools/regen_golden.sh";
+    std::ostringstream expected;
+    expected << in.rdbuf();
+    EXPECT_EQ(json, expected.str())
+        << name
+        << ": stats diverged from the snapshot; if the change is "
+           "intentional, run tools/regen_golden.sh and commit the diff";
+}
+
 } // namespace
 
 TEST(GoldenTest, StatsMatchSnapshots)
 {
-    const bool regen = std::getenv("NUAT_REGEN_GOLDEN") != nullptr;
-
     for (const GoldenCase &c : goldenCases()) {
         const RunResult result = runExperiment(c.cfg);
         EXPECT_EQ(result.auditViolations, 0u) << c.name;
-        const std::string json = runResultToJson(result);
-        const std::string path = goldenPath(c.name);
+        checkSnapshot(c.name, runResultToJson(result));
+    }
+}
 
-        if (regen) {
-            const std::string out_path = goldenOutPath(c.name);
-            std::ofstream out(out_path);
-            ASSERT_TRUE(out) << "cannot write " << out_path;
-            out << json;
-            continue;
-        }
-
-        std::ifstream in(path);
-        ASSERT_TRUE(in) << "missing snapshot " << path
-                        << " — run tools/regen_golden.sh";
-        std::ostringstream expected;
-        expected << in.rdbuf();
-        EXPECT_EQ(json, expected.str())
-            << c.name
-            << ": stats diverged from the snapshot; if the change is "
-               "intentional, run tools/regen_golden.sh and commit the "
-               "diff";
+TEST(GoldenTest, ServeMatchesSnapshots)
+{
+    for (const auto &[name, cfg] : serveGoldenCases()) {
+        const ServeResult result = runServe(cfg);
+        EXPECT_FALSE(result.failed) << name;
+        EXPECT_TRUE(result.conserves()) << name;
+        EXPECT_EQ(result.auditViolations, 0u) << name;
+        checkSnapshot(name, serveResultToJson(result) + "\n");
     }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/channel_stack.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -166,8 +167,8 @@ TEST(Integration, MultiChannelRunBalancesTraffic)
     System system(cfg);
     auto result = system.run();
     EXPECT_FALSE(result.hitCycleCap);
-    const auto &c0 = system.device(0).counters();
-    const auto &c1 = system.device(1).counters();
+    const auto &c0 = system.channel(0).device->counters();
+    const auto &c1 = system.channel(1).device->counters();
     EXPECT_GT(c0.reads, 0u);
     EXPECT_GT(c1.reads, 0u);
     const double ratio =
@@ -244,6 +245,26 @@ TEST(Integration, ReportsRender)
     EXPECT_NE(summarizeRun(rs[0]).find("comm1"), std::string::npos);
     EXPECT_NE(describeConfig(cfg).find("DDR3"), std::string::npos);
     EXPECT_EQ(workloadLabel({"a", "b"}), "a+b");
+}
+
+TEST(Integration, ChannelStackRunsAtTheMemoryClock)
+{
+    // Every part of a channel stack must share the preset's bus clock:
+    // a default-clocked derate on a faster preset mis-converts the
+    // charge model's nanoseconds into cycles.
+    for (unsigned g = 0; g < kNumDramGens; ++g) {
+        ExperimentConfig cfg;
+        cfg.applyDramGen(static_cast<DramGen>(g));
+        cfg.audit = true;
+        cfg.geometry.channels = 2;
+        for (unsigned ch = 0; ch < cfg.geometry.channels; ++ch) {
+            const ChannelStack stack = makeChannelStack(cfg, ch);
+            EXPECT_EQ(stack.derate->clock().freqMhz(), cfg.busMhz) << g;
+            EXPECT_EQ(stack.device->geometry().channels, 1u);
+            ASSERT_NE(stack.auditor, nullptr);
+            EXPECT_EQ(stack.faults, nullptr);
+        }
+    }
 }
 
 } // namespace

@@ -101,6 +101,29 @@ TEST(ServeRuntime, SingleShardSingleProducerRuns)
     EXPECT_EQ(res.shardRetired[0], cfg.requestsPerProducer);
 }
 
+TEST(ServeRuntime, Ddr5SarpShardsRunAtThePresetClock)
+{
+    // DDR5-4800 per-bank refresh under SARP: every shard stack must run
+    // at the preset's 2400 MHz bus clock.  A shard built at the default
+    // clock feeds the sense amp a non-positive dV and aborts.
+    ServeConfig cfg = smallConfig();
+    cfg.experiment.applyDramGen(DramGen::kDdr5_4800,
+                                RefreshMode::kPerBank);
+    cfg.experiment.controller.refreshPolicy = RefreshPolicy::kSarp;
+    cfg.experiment.audit = true;
+    cfg.deterministic = true;
+    const ServeResult res = runServe(cfg);
+
+    EXPECT_FALSE(res.failed);
+    EXPECT_FALSE(res.hitCycleCap);
+    EXPECT_TRUE(res.conserves());
+    EXPECT_EQ(res.requestsRetired,
+              std::uint64_t{cfg.producers} * cfg.requestsPerProducer);
+    EXPECT_TRUE(res.audited);
+    EXPECT_GT(res.auditCommandsChecked, 0u);
+    EXPECT_EQ(res.auditViolations, 0u);
+}
+
 TEST(ServeRuntime, ValidateRejectsBadConfigs)
 {
     setPanicThrows(true);
@@ -135,6 +158,16 @@ TEST(ServeRuntime, ValidateRejectsBadConfigs)
 
     cfg = smallConfig();
     cfg.chaos.stalls = {{9, 100, 100}}; // shard 9 does not exist
+    EXPECT_THROW(cfg.validate(), std::logic_error);
+
+    // The experiment itself is validated too (as the serve view, with
+    // one channel per shard): NUAT supports 1..8 PBs.
+    cfg = smallConfig();
+    cfg.experiment.numPb = 0;
+    EXPECT_THROW(cfg.validate(), std::logic_error);
+
+    cfg = smallConfig();
+    cfg.experiment.numPb = 9;
     EXPECT_THROW(cfg.validate(), std::logic_error);
 
     setPanicThrows(false);

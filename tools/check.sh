@@ -39,8 +39,9 @@
 #          violation-free, conserve requests per priority class, and
 #          produce byte-identical counters across the two runs; the
 #          storm-stall cells must additionally report at least one
-#          watchdog recovery.  A chaos-off control run closes the lane
-#          (nothing shed, produced == retired).  See ROBUSTNESS.md.
+#          watchdog recovery.  A chaos-off control run (nothing shed,
+#          produced == retired) and a bad-config check (--pb 0 must
+#          exit 64) close the lane.  See ROBUSTNESS.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -257,6 +258,14 @@ assert d["produced"] == d["retired"], "clean run lost requests"
 assert d["audit_violations"] == 0, "clean run had violations"
 print("    ok: produced=%d retired=%d" % (d["produced"], d["retired"]))
 '
+
+    echo
+    echo "=== Bad serve config (must be a usage error, not an abort) ==="
+    status=0
+    "$serve" --pb 0 --requests 10 >/dev/null 2>&1 || status=$?
+    [[ "$status" == "64" ]] ||
+        { echo "error: nuat_serve --pb 0 exited $status, not 64" >&2; exit 1; }
+    echo "    ok: --pb 0 exits 64"
 
     echo
     echo "Chaos lane passed."

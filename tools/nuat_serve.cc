@@ -2,40 +2,7 @@
  * @file
  * nuat_serve — the throughput-service front end to the simulator.
  *
- *   nuat_serve [options]
- *     --shards N          independently-clocked channel shards, power
- *                         of two (default 2)
- *     --producers N       trace producer threads (default 2)
- *     --requests N        requests per producer (default 20000)
- *     --queue-capacity N  slots per shard ingest ring (default 1024)
- *     --ingest-batch N    ring->controller moves per shard cycle
- *                         (default 64)
- *     --workloads a,b,c   producer stream profiles, cycled (default
- *                         ferret)
- *     --scheduler s       nuat | fcfs | frfcfs-open | frfcfs-close |
- *                         frfcfs-adaptive (default nuat)
- *     --pb N              NUAT PB count, 1..5 (default 5)
- *     --seed N            stream RNG seed (default 1)
- *     --no-ppm            disable the PPM page-mode decision maker
- *     --admission p       full-ring policy: block | bounded | shed
- *                         (default block)
- *     --deadline N[,N,N]  per-class dispatch deadline in shard cycles
- *                         (one value = every class; 0 disables)
- *     --retry-rounds N    bounded-retry push budget (default 32)
- *     --max-push-rounds N block-policy wedge threshold (default 65536)
- *     --admit-capacity N  admitted-stage depth per shard (default 256)
- *     --chaos-profile p   built-in name (burst-storm | poison |
- *                         shard-stall | storm-stall) or key=value file
- *     --deterministic     single-threaded cooperative execution:
- *                         byte-identical counters per (profile, seed)
- *     --no-watchdog       disable shard stall detection/recovery
- *     --watchdog-polls N  frozen polls before a recovery (default 4)
- *     --metrics-out f     write serve.* metrics as one JSONL record
- *     --audit             shadow protocol auditor on every shard; the
- *                         exit code is 2 if any shard flags a
- *                         violation
- *     --json              emit one machine-readable summary line
- *     --help
+ *   nuat_serve [options]     (usage() below lists every flag)
  *
  * Exit codes: 0 ok, 1 runtime failure (wedged ring, watchdog
  * exhausted, cycle cap, broken conservation), 2 audit violations,
@@ -54,12 +21,15 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "sim/result_json.hh"
 #include "sim/serve_runtime.hh"
 #include "trace/workload_profile.hh"
 
 using namespace nuat;
+using nuat::cli::splitCommas;
 
 namespace {
 
@@ -68,25 +38,6 @@ constexpr int kExitRuntime = 1;
 constexpr int kExitAudit = 2;
 constexpr int kExitUsage = 64;    //!< EX_USAGE: bad command line
 constexpr int kExitBadInput = 65; //!< EX_DATAERR: malformed input
-
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char ch : arg) {
-        if (ch == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
 
 /** Strict unsigned parse; a garbage value is a usage error (64). */
 std::uint64_t
@@ -104,26 +55,6 @@ parseCount(const std::string &flag, const char *v)
     return u;
 }
 
-SchedulerKind
-parseScheduler(const std::string &name)
-{
-    if (name == "nuat")
-        return SchedulerKind::kNuat;
-    if (name == "fcfs")
-        return SchedulerKind::kFcfs;
-    if (name == "frfcfs-open")
-        return SchedulerKind::kFrFcfsOpen;
-    if (name == "frfcfs-close")
-        return SchedulerKind::kFrFcfsClose;
-    if (name == "frfcfs-adaptive")
-        return SchedulerKind::kFrFcfsAdaptive;
-    std::fprintf(stderr,
-                 "nuat_serve: unknown scheduler '%s' (nuat | fcfs | "
-                 "frfcfs-open | frfcfs-close | frfcfs-adaptive)\n",
-                 name.c_str());
-    std::exit(kExitUsage);
-}
-
 void
 usage()
 {
@@ -136,22 +67,29 @@ usage()
         "  --queue-capacity N  slots per ingest ring (default 1024)\n"
         "  --ingest-batch N    ring moves per shard cycle (default "
         "64)\n"
-        "  --workloads a,b,c   producer profiles, cycled\n"
+        "  --workloads a,b,c   producer profiles, cycled (default "
+        "ferret)\n"
         "  --scheduler s       nuat | fcfs | frfcfs-open | "
-        "frfcfs-close | frfcfs-adaptive\n"
-        "  --pb N --seed N --no-ppm\n"
+        "frfcfs-close | frfcfs-adaptive (default nuat)\n"
+        "  --pb N              NUAT PB count, 1..8 (default 5)\n"
+        "  --seed N            stream RNG seed (default 1)\n"
+        "  --no-ppm            disable the PPM page-mode decision maker\n"
         "  --admission p       block | bounded | shed (default "
         "block)\n"
-        "  --deadline N[,N,N]  per-class dispatch deadline [cycles]\n"
+        "  --deadline N[,N,N]  per-class dispatch deadline [shard "
+        "cycles]; one value = every class, 0 disables\n"
         "  --retry-rounds N    bounded-retry push budget (default "
         "32)\n"
         "  --max-push-rounds N block-policy wedge threshold (default "
         "65536)\n"
         "  --admit-capacity N  admitted-stage depth (default 256)\n"
         "  --chaos-profile p   burst-storm | poison | shard-stall | "
-        "storm-stall | file\n"
-        "  --deterministic     byte-identical cooperative execution\n"
-        "  --no-watchdog --watchdog-polls N\n"
+        "storm-stall | key=value file\n"
+        "  --deterministic     single-threaded cooperative execution: "
+        "byte-identical counters per (profile, seed)\n"
+        "  --no-watchdog       disable shard stall detection/recovery\n"
+        "  --watchdog-polls N  frozen polls before a recovery (default "
+        "4)\n"
         "  --metrics-out f     serve.* metrics as one JSONL record\n"
         "  --audit             shadow auditor per shard (exit 2 on "
         "violations)\n"
@@ -197,7 +135,13 @@ main(int argc, char **argv)
         } else if (arg == "--workloads") {
             cfg.experiment.workloads = splitCommas(value());
         } else if (arg == "--scheduler") {
-            cfg.experiment.scheduler = parseScheduler(value());
+            const char *name = value();
+            if (!parseSchedulerKind(name, &cfg.experiment.scheduler)) {
+                std::fprintf(stderr,
+                             "nuat_serve: unknown scheduler '%s' (%s)\n",
+                             name, cli::kSchedulerNames);
+                return kExitUsage;
+            }
         } else if (arg == "--pb") {
             cfg.experiment.numPb =
                 static_cast<unsigned>(parseCount(arg, value()));
@@ -317,133 +261,57 @@ main(int argc, char **argv)
         sampler.finish(at);
     }
 
+    auto u = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
     if (json) {
-        std::printf("{\"serve\":\"sharded\",\"shards\":%u,"
-                    "\"producers\":%u,\"requests\":%llu,"
-                    "\"retired\":%llu,\"requests_per_s\":%.1f,"
-                    "\"wall_s\":%.4f,\"avg_read_latency\":%.2f,"
-                    "\"backpressure_yields\":%llu,"
-                    "\"max_shard_cycles\":%llu,"
-                    "\"audit_violations\":%llu,"
-                    "\"produced\":%llu,"
-                    "\"shed_admission\":%llu,\"shed_timeout\":%llu,"
-                    "\"shed_poison\":%llu,\"shed_total\":%llu,"
-                    "\"poisoned_injected\":%llu,"
-                    "\"backoff_rounds\":%llu,"
-                    "\"watchdog_recoveries\":%llu,"
-                    "\"watchdog_ease_steps\":%llu,"
-                    "\"admission\":\"%s\",\"chaos\":\"%s\","
-                    "\"deterministic\":%s,\"classes\":[",
-                    res.shards, res.producers,
-                    static_cast<unsigned long long>(
-                        res.requestsIngested),
-                    static_cast<unsigned long long>(
-                        res.requestsRetired),
-                    rps, secs, res.avgReadLatency,
-                    static_cast<unsigned long long>(
-                        res.backpressureYields),
-                    static_cast<unsigned long long>(
-                        res.maxShardCycles),
-                    static_cast<unsigned long long>(
-                        res.auditViolations),
-                    static_cast<unsigned long long>(
-                        res.requestsProduced),
-                    static_cast<unsigned long long>(res.shedAdmission),
-                    static_cast<unsigned long long>(res.shedTimeout),
-                    static_cast<unsigned long long>(res.shedPoison),
-                    static_cast<unsigned long long>(res.shedTotal()),
-                    static_cast<unsigned long long>(
-                        res.poisonedInjected),
-                    static_cast<unsigned long long>(res.backoffRounds),
-                    static_cast<unsigned long long>(
-                        res.watchdogRecoveries),
-                    static_cast<unsigned long long>(
-                        res.watchdogEaseSteps),
-                    admissionPolicyName(cfg.admission),
-                    cfg.chaos.any() ? cfg.chaos.name.c_str() : "none",
-                    res.deterministic ? "true" : "false");
-        for (unsigned k = 0; k < kServeClasses; ++k) {
-            const ServeClassStats &c = res.classes[k];
-            std::printf("%s{\"produced\":%llu,\"retired\":%llu,"
-                        "\"shed\":%llu}",
-                        k ? "," : "",
-                        static_cast<unsigned long long>(c.produced),
-                        static_cast<unsigned long long>(c.retired),
-                        static_cast<unsigned long long>(
-                            c.shedTotal()));
-        }
-        std::printf("]}\n");
+        // The canonical record minus its closing brace, then the two
+        // wall-clock fields only this tool can measure.
+        std::string line = serveResultToJson(res);
+        line.pop_back();
+        std::printf("%s,\"requests_per_s\":%.1f,\"wall_s\":%.4f}\n",
+                    line.c_str(), rps, secs);
     } else {
         std::printf("serve: %u shard(s), %u producer(s), %llu requests "
-                    "ingested, %llu retired (%llu reads, %llu "
-                    "writes)\n",
-                    res.shards, res.producers,
-                    static_cast<unsigned long long>(
-                        res.requestsIngested),
-                    static_cast<unsigned long long>(
-                        res.requestsRetired),
-                    static_cast<unsigned long long>(res.readsRetired),
-                    static_cast<unsigned long long>(
-                        res.writesRetired));
-        std::printf("serve: %.0f requests/s over %.3f s wall; avg "
-                    "read latency %.1f cycles; %llu backpressure "
-                    "yields\n",
+                    "ingested, %llu retired (%llu reads, %llu writes)\n",
+                    res.shards, res.producers, u(res.requestsIngested),
+                    u(res.requestsRetired), u(res.readsRetired),
+                    u(res.writesRetired));
+        std::printf("serve: %.0f requests/s over %.3f s wall; avg read "
+                    "latency %.1f cycles; %llu backpressure yields\n",
                     rps, secs, res.avgReadLatency,
-                    static_cast<unsigned long long>(
-                        res.backpressureYields));
-        std::printf("serve: shard clocks max %llu / total %llu "
-                    "cycles\n",
-                    static_cast<unsigned long long>(
-                        res.maxShardCycles),
-                    static_cast<unsigned long long>(
-                        res.totalShardCycles));
-        if (res.shedTotal() || res.poisonedInjected ||
-            cfg.chaos.any()) {
+                    u(res.backpressureYields));
+        std::printf("serve: shard clocks max %llu / total %llu cycles\n",
+                    u(res.maxShardCycles), u(res.totalShardCycles));
+        if (res.shedTotal() || res.poisonedInjected || cfg.chaos.any()) {
             std::printf("serve: %llu produced, shed %llu (admission "
                         "%llu, timeout %llu, poison %llu)\n",
-                        static_cast<unsigned long long>(
-                            res.requestsProduced),
-                        static_cast<unsigned long long>(
-                            res.shedTotal()),
-                        static_cast<unsigned long long>(
-                            res.shedAdmission),
-                        static_cast<unsigned long long>(
-                            res.shedTimeout),
-                        static_cast<unsigned long long>(
-                            res.shedPoison));
+                        u(res.requestsProduced), u(res.shedTotal()),
+                        u(res.shedAdmission), u(res.shedTimeout),
+                        u(res.shedPoison));
             for (unsigned k = 0; k < kServeClasses; ++k) {
                 const ServeClassStats &c = res.classes[k];
                 std::printf("serve:   class %u: %llu produced, %llu "
                             "retired, %llu shed\n",
-                            k,
-                            static_cast<unsigned long long>(
-                                c.produced),
-                            static_cast<unsigned long long>(
-                                c.retired),
-                            static_cast<unsigned long long>(
-                                c.shedTotal()));
+                            k, u(c.produced), u(c.retired),
+                            u(c.shedTotal()));
             }
         }
         if (res.watchdogRecoveries || res.watchdogEaseSteps) {
-            std::printf("serve: watchdog recovered %llu stall(s), "
-                        "eased %llu time(s)\n",
-                        static_cast<unsigned long long>(
-                            res.watchdogRecoveries),
-                        static_cast<unsigned long long>(
-                            res.watchdogEaseSteps));
+            std::printf("serve: watchdog recovered %llu stall(s), eased "
+                        "%llu time(s)\n",
+                        u(res.watchdogRecoveries),
+                        u(res.watchdogEaseSteps));
         }
         for (std::size_t s = 0; s < res.shardRetired.size(); ++s) {
             std::printf("serve:   shard %zu retired %llu\n", s,
-                        static_cast<unsigned long long>(
-                            res.shardRetired[s]));
+                        u(res.shardRetired[s]));
         }
         if (res.audited) {
             std::printf("audit: %llu commands checked, %llu "
                         "violations\n",
-                        static_cast<unsigned long long>(
-                            res.auditCommandsChecked),
-                        static_cast<unsigned long long>(
-                            res.auditViolations));
+                        u(res.auditCommandsChecked),
+                        u(res.auditViolations));
             for (const auto &msg : res.auditMessages)
                 std::printf("audit:   %s\n", msg.c_str());
         }
@@ -467,11 +335,8 @@ main(int argc, char **argv)
                      "error: conservation broken (%llu produced != "
                      "%llu retired + %llu shed, or a per-class "
                      "mismatch)\n",
-                     static_cast<unsigned long long>(
-                         res.requestsProduced),
-                     static_cast<unsigned long long>(
-                         res.requestsRetired),
-                     static_cast<unsigned long long>(res.shedTotal()));
+                     u(res.requestsProduced), u(res.requestsRetired),
+                     u(res.shedTotal()));
         return kExitRuntime;
     }
     return res.audited && res.auditViolations ? kExitAudit : kExitOk;

@@ -2,48 +2,7 @@
  * @file
  * nuat_sim — the command-line front end to the simulator.
  *
- *   nuat_sim [options]
- *     --workloads a,b,c       one per core (default: ferret)
- *     --scheduler s           nuat | fcfs | frfcfs-open | frfcfs-close
- *     --dram-gen g            ddr3-1600 | ddr4-2400 | ddr5-4800
- *                             (generation preset: clock, geometry,
- *                             timing, refresh mode; default ddr3-1600)
- *     --refresh-mode m        all-bank | per-bank (override the
- *                             preset's refresh flavour)
- *     --refresh-policy p      inorder | darp | sarp (per-bank refresh
- *                             scheduling policy; default inorder)
- *     --compare               run all five schedulers side by side
- *     --pb N                  NUAT PB count, 1..5 (default 5)
- *     --channels N            memory channels (default 1)
- *     --ops N                 memory ops per core (default 50000)
- *     --seed N                trace RNG seed (default 1)
- *     --gap-scale F           scale compute gaps (default 1.0)
- *     --no-ppm                disable the PPM page-mode decision maker
- *     --paper-pure            disable the starvation escape
- *     --threads N             workers for --compare (0 = all cores,
- *                             default 1; results are identical)
- *     --csv                   one machine-readable line per run
- *     --audit                 attach the shadow protocol auditor; the
- *                             exit code is 2 if it flags any violation
- *     --dump-trace FILE       tee the issued-command stream to FILE
- *     --replay-trace FILE     re-audit a captured trace (no simulation);
- *                             exit code 2 on violations
- *     --metrics-out FILE      stream interval metric samples to FILE as
- *                             JSON Lines (see OBSERVABILITY.md); with
- *                             --compare, FILE gets a per-scheduler
- *                             suffix (.nuat, .fcfs, ...)
- *     --metrics-interval N    memory cycles between metric samples
- *                             (default 10000)
- *     --trace-events FILE     write chrome://tracing counter events
- *     --fault-profile P       inject charge-margin hazards: a built-in
- *                             profile name (weak-cells, thermal-spike,
- *                             vrt, refresh-storm, stress) or a profile
- *                             file (see ROBUSTNESS.md)
- *     --no-degrade            disable NUAT's guardband degradation
- *                             ladder under --fault-profile (for
- *                             demonstrating the charge-margin audit
- *                             rule; unsafe on purpose)
- *     --help
+ *   nuat_sim [options]       (usage() below lists every flag)
  *
  * Exit codes: 0 ok, 2 audit violations, 3 a sweep entry failed (the
  * rest of the sweep still ran), 1 usage/fatal errors.
@@ -55,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/logging.hh"
 #include "dram/dram_spec.hh"
 #include "sim/report.hh"
@@ -62,45 +22,9 @@
 #include "verify/trace_capture.hh"
 
 using namespace nuat;
+using nuat::cli::splitCommas;
 
 namespace {
-
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char ch : arg) {
-        if (ch == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-SchedulerKind
-parseScheduler(const std::string &name)
-{
-    if (name == "nuat")
-        return SchedulerKind::kNuat;
-    if (name == "fcfs")
-        return SchedulerKind::kFcfs;
-    if (name == "frfcfs-open")
-        return SchedulerKind::kFrFcfsOpen;
-    if (name == "frfcfs-close")
-        return SchedulerKind::kFrFcfsClose;
-    if (name == "frfcfs-adaptive")
-        return SchedulerKind::kFrFcfsAdaptive;
-    nuat_fatal("unknown scheduler '%s' (nuat | fcfs | frfcfs-open | "
-               "frfcfs-close | frfcfs-adaptive)",
-               name.c_str());
-}
 
 void
 printCsv(const RunResult &r, std::uint64_t seed)
@@ -123,28 +47,43 @@ usage()
 {
     std::printf(
         "nuat_sim — NUAT memory-controller simulator\n"
-        "  --workloads a,b,c   one per core (default ferret)\n"
-        "  --scheduler s       nuat | fcfs | frfcfs-open | "
-        "frfcfs-close\n"
-        "  --dram-gen g        ddr3-1600 | ddr4-2400 | ddr5-4800\n"
-        "  --refresh-mode m    all-bank | per-bank (preset override)\n"
-        "  --refresh-policy p  inorder | darp | sarp (per-bank only)\n"
-        "  --compare           run all five schedulers\n"
-        "  --pb N --channels N --ops N --seed N --gap-scale F\n"
-        "  --threads N         workers for --compare (0 = all cores)\n"
-        "  --audit             shadow protocol auditor (exit 2 on "
+        "  --workloads a,b,c     one per core (default ferret)\n"
+        "  --scheduler s         nuat | fcfs | frfcfs-open | "
+        "frfcfs-close | frfcfs-adaptive (default nuat)\n"
+        "  --dram-gen g          ddr3-1600 | ddr4-2400 | ddr5-4800: "
+        "clock, geometry, timing, refresh mode (default ddr3-1600)\n"
+        "  --refresh-mode m      all-bank | per-bank (overrides the "
+        "preset)\n"
+        "  --refresh-policy p    inorder | darp | sarp (per-bank only; "
+        "default inorder)\n"
+        "  --compare             run all five schedulers side by side\n"
+        "  --pb N                NUAT PB count, 1..8 (default 5)\n"
+        "  --channels N          memory channels (default 1)\n"
+        "  --ops N               memory ops per core (default 50000)\n"
+        "  --seed N              trace RNG seed (default 1)\n"
+        "  --gap-scale F         scale compute gaps (default 1.0)\n"
+        "  --no-ppm              disable the PPM page-mode decision "
+        "maker\n"
+        "  --paper-pure          disable the starvation escape\n"
+        "  --threads N           workers for --compare (0 = all cores, "
+        "default 1; results are identical)\n"
+        "  --csv                 one machine-readable line per run\n"
+        "  --audit               shadow protocol auditor (exit 2 on "
         "violations)\n"
-        "  --dump-trace FILE   tee the issued-command stream to FILE\n"
-        "  --replay-trace FILE re-audit a captured trace\n"
-        "  --metrics-out FILE  interval metric samples (JSON Lines)\n"
+        "  --dump-trace FILE     tee the issued-command stream to FILE\n"
+        "  --replay-trace FILE   re-audit a captured trace, no "
+        "simulation (exit 2 on violations)\n"
+        "  --metrics-out FILE    interval metric samples as JSON Lines; "
+        "--compare suffixes FILE per scheduler (.nuat, .fcfs, ...)\n"
         "  --metrics-interval N  cycles between samples (default "
         "10000)\n"
-        "  --trace-events FILE chrome://tracing counter events\n"
-        "  --fault-profile P   inject faults: weak-cells | "
+        "  --trace-events FILE   chrome://tracing counter events\n"
+        "  --fault-profile P     inject faults: weak-cells | "
         "thermal-spike | vrt | refresh-storm | stress | FILE\n"
-        "  --no-degrade        keep NUAT's guardband ladder off under "
-        "--fault-profile\n"
-        "  --no-ppm --paper-pure --csv --help\n");
+        "  --no-degrade          keep NUAT's guardband ladder off under "
+        "--fault-profile (unsafe on purpose)\n"
+        "exit: 0 ok, 2 audit violations, 3 a sweep entry failed, 1 "
+        "usage/fatal errors\n");
 }
 
 /** Print a fault-injected run's fault/guardband summary. */
@@ -239,7 +178,11 @@ main(int argc, char **argv)
         if (arg == "--workloads") {
             cfg.workloads = splitCommas(value());
         } else if (arg == "--scheduler") {
-            cfg.scheduler = parseScheduler(value());
+            const char *name = value();
+            if (!parseSchedulerKind(name, &cfg.scheduler)) {
+                nuat_fatal("unknown scheduler '%s' (%s)", name,
+                           cli::kSchedulerNames);
+            }
         } else if (arg == "--dram-gen") {
             const char *name = value();
             spec = DramSpec::byName(name);
