@@ -10,6 +10,9 @@
  * change to the simulator (scheduling order, timing, stats accounting)
  * shows up as a diff here, so intentional changes must regenerate the
  * snapshots (tools/regen_golden.sh) and review the diff in the PR.
+ * A third grid re-runs a few cells with the metrics sampler attached
+ * and pins the interval series (`metrics_*.jsonl`, plus one
+ * chrome://tracing file) the same way.
  *
  * Set NUAT_REGEN_GOLDEN=1 to rewrite the snapshots instead of
  * comparing (that is all regen_golden.sh does).
@@ -24,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.hh"
 #include "sim/result_json.hh"
 #include "sim/runner.hh"
 #include "sim/serve_runtime.hh"
@@ -202,10 +206,43 @@ goldenCases()
     return cases;
 }
 
-std::string
-goldenPath(const std::string &name)
+/**
+ * Metrics companions: cells re-run with the interval sampler writing
+ * JSONL every 10000 cycles.  They cover a NUAT and a baseline
+ * scheduler (no sched* series), multi-core, DDR5 per-bank refresh
+ * (cmd_refsb), the guardband gauges of a faulted run, and a 2-channel
+ * machine (ctrl1.*, sched1.*, dram1.*).  The 2-channel cell has no
+ * RunResult snapshot of its own.
+ */
+std::vector<GoldenCase>
+metricsGoldenCases()
 {
-    return std::string(NUAT_GOLDEN_DIR) + "/" + name + ".json";
+    const char *const pinned[] = {"ferret_nuat", "comm1_stream_nuat",
+                                  "ferret_frfcfs_open",
+                                  "libq_nuat_ddr5_perbank",
+                                  "libq_nuat_stress_fault"};
+    std::vector<GoldenCase> cases;
+    for (const GoldenCase &c : goldenCases()) {
+        for (const char *name : pinned) {
+            if (c.name == name)
+                cases.push_back(c);
+        }
+    }
+    ExperimentConfig two;
+    two.workloads = {"comm1", "stream"};
+    two.memOpsPerCore = 2000;
+    two.seed = 3;
+    two.audit = true;
+    two.scheduler = SchedulerKind::kNuat;
+    two.geometry.channels = 2;
+    cases.push_back({"comm1_stream_nuat_2ch", two});
+    return cases;
+}
+
+std::string
+goldenPath(const std::string &file)
+{
+    return std::string(NUAT_GOLDEN_DIR) + "/" + file;
 }
 
 /**
@@ -214,12 +251,22 @@ goldenPath(const std::string &name)
  * committed snapshot directory.
  */
 std::string
-goldenOutPath(const std::string &name)
+goldenOutPath(const std::string &file)
 {
     const char *dir = std::getenv("NUAT_GOLDEN_OUT_DIR");
     if (dir && dir[0])
-        return std::string(dir) + "/" + name + ".json";
-    return goldenPath(name);
+        return std::string(dir) + "/" + file;
+    return goldenPath(file);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "cannot open " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 /** Serve cells: the nuat_serve chaos-lane shape (2 shards x 2
@@ -254,28 +301,28 @@ serveGoldenCases()
     return cases;
 }
 
-/** Compare @p json with snapshot @p name, or rewrite it when
+/** Compare @p text with snapshot file @p file, or rewrite it when
  *  NUAT_REGEN_GOLDEN is set. */
 void
-checkSnapshot(const std::string &name, const std::string &json)
+checkSnapshot(const std::string &file, const std::string &text)
 {
     if (std::getenv("NUAT_REGEN_GOLDEN") != nullptr) {
-        const std::string out_path = goldenOutPath(name);
+        const std::string out_path = goldenOutPath(file);
         std::ofstream out(out_path);
         ASSERT_TRUE(out) << "cannot write " << out_path;
-        out << json;
+        out << text;
         return;
     }
 
-    const std::string path = goldenPath(name);
+    const std::string path = goldenPath(file);
     std::ifstream in(path);
     ASSERT_TRUE(in) << "missing snapshot " << path
                     << " — run tools/regen_golden.sh";
     std::ostringstream expected;
     expected << in.rdbuf();
-    EXPECT_EQ(json, expected.str())
-        << name
-        << ": stats diverged from the snapshot; if the change is "
+    EXPECT_EQ(text, expected.str())
+        << file
+        << ": output diverged from the snapshot; if the change is "
            "intentional, run tools/regen_golden.sh and commit the diff";
 }
 
@@ -286,7 +333,39 @@ TEST(GoldenTest, StatsMatchSnapshots)
     for (const GoldenCase &c : goldenCases()) {
         const RunResult result = runExperiment(c.cfg);
         EXPECT_EQ(result.auditViolations, 0u) << c.name;
-        checkSnapshot(c.name, runResultToJson(result));
+        checkSnapshot(c.name + ".json", runResultToJson(result));
+    }
+}
+
+TEST(GoldenTest, MetricsStreamsMatchSnapshots)
+{
+    for (GoldenCase c : metricsGoldenCases()) {
+        const std::string stem = "metrics_" + c.name;
+        c.cfg.metricsOutPath = ::testing::TempDir() + stem + ".jsonl";
+        c.cfg.metricsInterval = 10000;
+        if (c.name == "ferret_nuat") {
+            c.cfg.traceEventsPath =
+                ::testing::TempDir() + stem + ".trace.json";
+        }
+        RunResult result = runExperiment(c.cfg);
+        EXPECT_EQ(result.auditViolations, 0u) << c.name;
+        checkSnapshot(stem + ".jsonl", readFile(c.cfg.metricsOutPath));
+        if (!c.cfg.traceEventsPath.empty()) {
+            checkSnapshot(stem + ".trace.json",
+                          readFile(c.cfg.traceEventsPath));
+        }
+
+        // Observation-only: without its metrics block the record is
+        // the cell's own snapshot.
+        if (std::getenv("NUAT_REGEN_GOLDEN") == nullptr &&
+            c.cfg.geometry.channels == 1) {
+            result.metricsEnabled = false;
+            result.metricsSamples = 0;
+            result.metricsIntervalCycles = 0;
+            EXPECT_EQ(runResultToJson(result),
+                      readFile(goldenPath(c.name + ".json")))
+                << c.name;
+        }
     }
 }
 
@@ -297,6 +376,16 @@ TEST(GoldenTest, ServeMatchesSnapshots)
         EXPECT_FALSE(result.failed) << name;
         EXPECT_TRUE(result.conserves()) << name;
         EXPECT_EQ(result.auditViolations, 0u) << name;
-        checkSnapshot(name, serveResultToJson(result) + "\n");
+        checkSnapshot(name + ".json", serveResultToJson(result) + "\n");
+        if (name == "serve_storm_stall_shed") {
+            // The nuat_serve --metrics-out record: one sample stamped
+            // with the longest shard clock.
+            MetricRegistry registry;
+            publishServeMetrics(result, registry);
+            std::ostringstream out;
+            IntervalSampler sampler(registry, result.maxShardCycles, &out);
+            sampler.finish(result.maxShardCycles);
+            checkSnapshot("metrics_" + name + ".jsonl", out.str());
+        }
     }
 }

@@ -4,8 +4,10 @@
 # Usage: tools/regen_golden.sh [--check] [build-dir]
 #
 # Runs the golden_test binary in regeneration mode, which rewrites one
-# JSON snapshot per (workload set, scheduler) cell.  Review the diff:
-# every changed field is a behavioural change of the simulator.
+# JSON snapshot per (workload set, scheduler) cell, plus the metrics
+# companions (metrics_*.jsonl interval series and one .trace.json).
+# Review the diff: every changed field is a behavioural change of the
+# simulator or of its metric streams.
 #
 # --check: regenerate into a temporary directory and diff it against
 #          the committed tests/golden/ instead of rewriting anything.
@@ -34,7 +36,7 @@ if [[ "$check" == "1" ]]; then
     trap 'rm -rf "$tmp"' EXIT
     NUAT_REGEN_GOLDEN=1 NUAT_GOLDEN_OUT_DIR="$tmp" "$bin" >/dev/null
     if diff -ru "$repo/tests/golden" "$tmp"; then
-        echo "golden snapshots are up to date ($(ls "$tmp"/*.json | wc -l) cells)"
+        echo "golden snapshots are up to date ($(ls "$tmp" | wc -l) files)"
     else
         echo >&2
         echo "error: golden snapshots drifted from the simulator." >&2
@@ -47,5 +49,5 @@ fi
 
 mkdir -p "$repo/tests/golden"
 NUAT_REGEN_GOLDEN=1 "$bin"
-echo "regenerated $(ls "$repo"/tests/golden/*.json | wc -l) snapshots in tests/golden/"
+echo "regenerated $(ls "$repo"/tests/golden | wc -l) snapshots in tests/golden/"
 git -C "$repo" --no-pager diff --stat -- tests/golden || true
