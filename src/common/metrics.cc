@@ -43,77 +43,41 @@ quoted(const std::string &s)
 } // namespace
 
 MetricRegistry::Entry &
-MetricRegistry::findOrCreate(const std::string &name,
-                             const std::string &description, Kind kind)
+MetricRegistry::add(const std::string &name,
+                    const std::string &description, Kind kind)
 {
     confined_.assertOwned("MetricRegistry");
-    for (auto &e : entries_) {
-        if (e->name == name) {
-            nuat_assert(e->kind == kind,
-                        "(metric '%s' re-registered with a different "
-                        "kind)",
-                        name.c_str());
-            return *e;
-        }
-    }
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->description = description;
-    e->kind = kind;
-    entries_.push_back(std::move(e));
-    return *entries_.back();
-}
-
-Counter &
-MetricRegistry::counter(const std::string &name,
-                        const std::string &description)
-{
-    Entry &e = findOrCreate(name, description, Kind::kCounter);
-    if (!e.counter)
-        e.counter = std::make_unique<Counter>();
-    return *e.counter;
-}
-
-Gauge &
-MetricRegistry::gauge(const std::string &name,
-                      const std::string &description)
-{
-    Entry &e = findOrCreate(name, description, Kind::kGauge);
-    if (!e.gauge)
-        e.gauge = std::make_unique<Gauge>();
-    return *e.gauge;
-}
-
-Histogram &
-MetricRegistry::histogram(const std::string &name, double lo,
-                          double width, unsigned buckets,
-                          const std::string &description)
-{
-    Entry &e = findOrCreate(name, description, Kind::kHistogram);
-    if (!e.histogram) {
-        e.histogram = std::make_unique<Histogram>(lo, width, buckets);
-    } else {
-        nuat_assert(e.histogram->buckets() == buckets,
-                    "(histogram '%s' re-registered with different "
-                    "bucketing)",
+    for (const Entry &e : entries_) {
+        nuat_assert(e.name != name, "(metric '%s' registered twice)",
                     name.c_str());
     }
-    return *e.histogram;
+    Entry &e = entries_.emplace_back();
+    e.name = name;
+    e.description = description;
+    e.kind = kind;
+    return e;
 }
 
 void
-MetricRegistry::addSampleHook(std::function<void()> hook)
+MetricRegistry::counter(const std::string &name, CounterView view,
+                        const std::string &description)
 {
-    confined_.assertOwned("MetricRegistry");
-    hooks_.push_back(std::move(hook));
+    add(name, description, Kind::kCounter).counter = std::move(view);
 }
 
 void
-MetricRegistry::runSampleHooks() const
+MetricRegistry::gauge(const std::string &name, GaugeView view,
+                      const std::string &description)
 {
-    confined_.assertOwned("MetricRegistry");
-    for (const auto &hook : hooks_)
-        hook();
+    add(name, description, Kind::kGauge).gauge = std::move(view);
+}
+
+void
+MetricRegistry::histogram(const std::string &name,
+                          const Histogram &source,
+                          const std::string &description)
+{
+    add(name, description, Kind::kHistogram).histogram = &source;
 }
 
 void
@@ -122,29 +86,29 @@ MetricRegistry::writeValuesJson(std::ostream &out) const
     confined_.assertOwned("MetricRegistry");
     bool first = true;
     out << "\"counters\":{";
-    for (const auto &e : entries_) {
-        if (e->kind != Kind::kCounter)
+    for (const Entry &e : entries_) {
+        if (e.kind != Kind::kCounter)
             continue;
-        out << (first ? "" : ",") << quoted(e->name) << ":"
-            << num(e->counter->value());
+        out << (first ? "" : ",") << quoted(e.name) << ":"
+            << num(e.counter());
         first = false;
     }
     out << "},\"gauges\":{";
     first = true;
-    for (const auto &e : entries_) {
-        if (e->kind != Kind::kGauge)
+    for (const Entry &e : entries_) {
+        if (e.kind != Kind::kGauge)
             continue;
-        out << (first ? "" : ",") << quoted(e->name) << ":"
-            << num(e->gauge->value());
+        out << (first ? "" : ",") << quoted(e.name) << ":"
+            << num(e.gauge());
         first = false;
     }
     out << "},\"histograms\":{";
     first = true;
-    for (const auto &e : entries_) {
-        if (e->kind != Kind::kHistogram)
+    for (const Entry &e : entries_) {
+        if (e.kind != Kind::kHistogram)
             continue;
-        const Histogram &h = *e->histogram;
-        out << (first ? "" : ",") << quoted(e->name)
+        const Histogram &h = *e.histogram;
+        out << (first ? "" : ",") << quoted(e.name)
             << ":{\"lo\":" << num(h.lo())
             << ",\"width\":" << num(h.width()) << ",\"buckets\":[";
         for (unsigned i = 0; i < h.buckets(); ++i)
@@ -196,7 +160,6 @@ IntervalSampler::IntervalSampler(MetricRegistry &registry,
 void
 IntervalSampler::emit(Cycle t)
 {
-    registry_.runSampleHooks();
     if (jsonl_) {
         *jsonl_ << "{\"t\":" << num(static_cast<std::uint64_t>(t))
                 << ",\"sample\":" << num(samples_ + 1) << ",";
@@ -204,13 +167,12 @@ IntervalSampler::emit(Cycle t)
         *jsonl_ << "}\n";
     }
     if (trace_) {
-        for (const auto &e : registry_.entries()) {
-            if (e->kind == MetricRegistry::Kind::kCounter) {
-                trace_->counterEvent(
-                    e->name, t,
-                    static_cast<double>(e->counter->value()));
-            } else if (e->kind == MetricRegistry::Kind::kGauge) {
-                trace_->counterEvent(e->name, t, e->gauge->value());
+        for (const MetricRegistry::Entry &e : registry_.entries()) {
+            if (e.kind == MetricRegistry::Kind::kCounter) {
+                trace_->counterEvent(e.name, t,
+                                     static_cast<double>(e.counter()));
+            } else if (e.kind == MetricRegistry::Kind::kGauge) {
+                trace_->counterEvent(e.name, t, e.gauge());
             }
         }
     }

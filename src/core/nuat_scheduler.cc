@@ -8,138 +8,103 @@
 
 namespace nuat {
 
-/** Raw metric handles; only the first numPb() per-PB slots are
- *  registered, the rest stay null and are never touched. */
-struct NuatScheduler::NuatMetrics
-{
-    std::array<Counter *, 8> actPb{};
-    std::array<Counter *, 8> colPb{};
-    std::array<Gauge *, 8> hitRatePb{};
-    std::array<Gauge *, 5> scoreEs{};
-    Counter *ppmOpen = nullptr;
-    Counter *ppmClose = nullptr;
-    Counter *starvationEscapes = nullptr;
-    Counter *picks = nullptr;
-    Gauge *phrcHitRate = nullptr;
-    Gauge *phrcWindowCols = nullptr;
-    Gauge *phrcWindowActs = nullptr;
-    Gauge *phrcRollovers = nullptr;
-    // Guardband ladder series; registered only when degradation is on.
-    Gauge *guardQuarantinedRows = nullptr;
-    Gauge *guardQuarantines = nullptr;
-    Gauge *guardReleases = nullptr;
-    Gauge *guardProbeViolations = nullptr;
-    Gauge *guardProbeWarnings = nullptr;
-    Gauge *guardLadderSteps = nullptr;
-    Gauge *guardConservative = nullptr;
-};
-
 NuatScheduler::NuatScheduler(const NuatConfig &cfg)
     : cfg_(cfg), table_(cfg), phrc_(cfg.subWindow, cfg.windowRatio)
 {
     cfg_.validate();
 }
 
-NuatScheduler::~NuatScheduler() = default;
-
 void
 NuatScheduler::attachMetrics(MetricRegistry &registry,
                              const std::string &prefix)
 {
-    nuat_assert(!metrics_, "(attachMetrics called twice)");
-    metrics_ = std::make_unique<NuatMetrics>();
-    NuatMetrics &m = *metrics_;
+    nuat_assert(!metricsAttached_, "(attachMetrics called twice)");
+    metricsAttached_ = true;
     for (unsigned pb = 0; pb < cfg_.numPb(); ++pb) {
         const std::string k = std::to_string(pb);
-        m.actPb[pb] = &registry.counter(prefix + "act_pb" + k,
-                                        "ACTs issued to PB" + k);
-        m.colPb[pb] = &registry.counter(
-            prefix + "col_pb" + k,
-            "column accesses to open rows in PB" + k);
-        m.hitRatePb[pb] = &registry.gauge(
+        registry.counter(prefix + "act_pb" + k,
+                         [this, pb] { return actsPerPb_[pb]; },
+                         "ACTs issued to PB" + k);
+        registry.counter(prefix + "col_pb" + k,
+                         [this, pb] { return colsPerPb_[pb]; },
+                         "column accesses to open rows in PB" + k);
+        registry.gauge(
             prefix + "hit_rate_pb" + k,
+            [this, pb] {
+                const double cols = static_cast<double>(colsPerPb_[pb]);
+                const double acts = static_cast<double>(actsPerPb_[pb]);
+                return cols > 0.0 && cols > acts ? (cols - acts) / cols
+                                                 : 0.0;
+            },
             "eq. (3) hit rate of PB" + k + " so far");
     }
-    for (unsigned e = 0; e < m.scoreEs.size(); ++e) {
-        m.scoreEs[e] = &registry.gauge(
-            prefix + "score_es" + std::to_string(e + 1),
-            "cumulative weighted Element " + std::to_string(e + 1) +
-                " contribution of chosen candidates");
+    for (unsigned e = 0; e < scoreEs_.size(); ++e) {
+        registry.gauge(prefix + "score_es" + std::to_string(e + 1),
+                       [this, e] { return scoreEs_[e]; },
+                       "cumulative weighted Element " +
+                           std::to_string(e + 1) +
+                           " contribution of chosen candidates");
     }
-    m.ppmOpen = &registry.counter(prefix + "ppm_open",
-                                  "column commands kept open-page");
-    m.ppmClose = &registry.counter(
-        prefix + "ppm_close", "column commands auto-precharged by PPM");
-    m.starvationEscapes = &registry.counter(
-        prefix + "starvation_escapes",
-        "picks decided by the starvation escape boost");
-    m.picks =
-        &registry.counter(prefix + "picks", "scheduler picks issued");
-    m.phrcHitRate =
-        &registry.gauge(prefix + "phrc_hit_rate",
-                        "PHRC pseudo hit-rate estimate, eq. (3)");
-    m.phrcWindowCols = &registry.gauge(
-        prefix + "phrc_window_cols",
-        "PHRC estimated column accesses in the current window");
-    m.phrcWindowActs = &registry.gauge(
-        prefix + "phrc_window_acts",
-        "PHRC estimated activations in the current window");
-    m.phrcRollovers = &registry.gauge(
-        prefix + "phrc_rollovers", "PHRC sub-window boundaries so far");
-    if (cfg_.guardband.enabled) {
-        m.guardQuarantinedRows = &registry.gauge(
-            prefix + "guard_quarantined_rows",
-            "rows currently quarantined to the slowest PB");
-        m.guardQuarantines =
-            &registry.gauge(prefix + "guard_quarantines",
-                            "rows ever entered into quarantine");
-        m.guardReleases = &registry.gauge(
-            prefix + "guard_releases",
-            "quarantined rows re-promoted after clean probes");
-        m.guardProbeViolations = &registry.gauge(
-            prefix + "guard_probe_violations",
-            "margin probes showing an under-margin activation");
-        m.guardProbeWarnings = &registry.gauge(
-            prefix + "guard_probe_warnings",
-            "margin probes within the guard slack of the requirement");
-        m.guardLadderSteps = &registry.gauge(
-            prefix + "guard_ladder_steps",
-            "degradation transitions (widen + ease + conservative)");
-        m.guardConservative = &registry.gauge(
-            prefix + "guard_conservative",
-            "1 while the channel is in conservative fallback");
-    }
-    registry.addSampleHook([this] {
-        NuatMetrics &mm = *metrics_;
-        if (guardband_ && mm.guardQuarantinedRows) {
-            const GuardbandStats &gs = guardband_->stats();
-            mm.guardQuarantinedRows->set(
-                static_cast<double>(guardband_->quarantinedCount()));
-            mm.guardQuarantines->set(
-                static_cast<double>(gs.quarantines));
-            mm.guardReleases->set(static_cast<double>(gs.releases));
-            mm.guardProbeViolations->set(
-                static_cast<double>(gs.probeViolations));
-            mm.guardProbeWarnings->set(
-                static_cast<double>(gs.probeWarnings));
-            mm.guardLadderSteps->set(static_cast<double>(
-                gs.widenSteps + gs.easeSteps + gs.conservativeEntries));
-            mm.guardConservative->set(guardband_->conservative() ? 1.0
-                                                                 : 0.0);
-        }
-        mm.phrcHitRate->set(phrc_.hitRate());
-        mm.phrcWindowCols->set(phrc_.windowColumnAccesses());
-        mm.phrcWindowActs->set(phrc_.windowActivations());
-        mm.phrcRollovers->set(static_cast<double>(phrc_.rollovers()));
-        for (unsigned pb = 0; pb < cfg_.numPb(); ++pb) {
-            const double cols =
-                static_cast<double>(mm.colPb[pb]->value());
-            const double acts =
-                static_cast<double>(mm.actPb[pb]->value());
-            mm.hitRatePb[pb]->set(
-                cols > 0.0 && cols > acts ? (cols - acts) / cols : 0.0);
-        }
-    });
+    registry.counter(prefix + "ppm_open", [this] { return ppmOpen_; },
+                     "column commands kept open-page");
+    registry.counter(prefix + "ppm_close", [this] { return ppmClose_; },
+                     "column commands auto-precharged by PPM");
+    registry.counter(prefix + "starvation_escapes",
+                     [this] { return starvationEscapes_; },
+                     "picks decided by the starvation escape boost");
+    registry.counter(prefix + "picks", [this] { return picks_; },
+                     "scheduler picks issued");
+    registry.gauge(prefix + "phrc_hit_rate",
+                   [this] { return phrc_.hitRate(); },
+                   "PHRC pseudo hit-rate estimate, eq. (3)");
+    registry.gauge(prefix + "phrc_window_cols",
+                   [this] { return phrc_.windowColumnAccesses(); },
+                   "PHRC estimated column accesses in the current window");
+    registry.gauge(prefix + "phrc_window_acts",
+                   [this] { return phrc_.windowActivations(); },
+                   "PHRC estimated activations in the current window");
+    registry.gauge(
+        prefix + "phrc_rollovers",
+        [this] { return static_cast<double>(phrc_.rollovers()); },
+        "PHRC sub-window boundaries so far");
+    if (!cfg_.guardband.enabled)
+        return;
+
+    // Guardband ladder series.  The manager is built on the first
+    // tick, so each view reads 0 until then.
+    auto guard = [&](const char *name, const char *help, auto read) {
+        registry.gauge(
+            prefix + name,
+            [this, read] {
+                return guardband_ ? static_cast<double>(read(*guardband_))
+                                  : 0.0;
+            },
+            help);
+    };
+    using G = const GuardbandManager &;
+    guard("guard_quarantined_rows",
+          "rows currently quarantined to the slowest PB",
+          [](G g) { return g.quarantinedCount(); });
+    guard("guard_quarantines", "rows ever entered into quarantine",
+          [](G g) { return g.stats().quarantines; });
+    guard("guard_releases",
+          "quarantined rows re-promoted after clean probes",
+          [](G g) { return g.stats().releases; });
+    guard("guard_probe_violations",
+          "margin probes showing an under-margin activation",
+          [](G g) { return g.stats().probeViolations; });
+    guard("guard_probe_warnings",
+          "margin probes within the guard slack of the requirement",
+          [](G g) { return g.stats().probeWarnings; });
+    guard("guard_ladder_steps",
+          "degradation transitions (widen + ease + conservative)",
+          [](G g) {
+              const GuardbandStats &gs = g.stats();
+              return gs.widenSteps + gs.easeSteps + gs.conservativeEntries;
+          });
+    guard("guard_conservative",
+          "1 while the channel is in conservative fallback",
+          [](G g) { return g.conservative(); });
 }
 
 void
@@ -296,20 +261,19 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
     }
 
     const std::size_t bi = static_cast<std::size_t>(best);
-    const PbIdx best_pb = batch_.inputs[bi].pb;
+    const ScoreInputs &best_in = batch_.inputs[bi];
+    const PbIdx best_pb = best_in.pb;
     Candidate &chosen = candidates[bi];
-    NUAT_METRIC(if (metrics_) {
-        metrics_->picks->inc();
-        if (starve_limit > 0 &&
-            batch_.inputs[bi].waitCycles > starve_limit)
-            metrics_->starvationEscapes->inc();
-        const ScoreInputs &best_in = batch_.inputs[bi];
-        metrics_->scoreEs[0]->add(table_.es1(best_in));
-        metrics_->scoreEs[1]->add(table_.es2(best_in));
-        metrics_->scoreEs[2]->add(table_.es3(best_in));
-        metrics_->scoreEs[3]->add(table_.es4(best_in));
-        metrics_->scoreEs[4]->add(table_.es5(best_in));
-    });
+    ++picks_;
+    if (starve_limit > 0 && best_in.waitCycles > starve_limit)
+        ++starvationEscapes_;
+    if (metricsAttached_) {
+        scoreEs_[0] += table_.es1(best_in);
+        scoreEs_[1] += table_.es2(best_in);
+        scoreEs_[2] += table_.es3(best_in);
+        scoreEs_[3] += table_.es4(best_in);
+        scoreEs_[4] += table_.es5(best_in);
+    }
     if (chosen.cmd.type == CmdType::kAct) {
         // Run the activation at the PB's rated (charge-safe) timing —
         // degraded by the guardband ladder when fault evidence has
@@ -325,49 +289,31 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
         const std::size_t bp = issue_pb.value();
         ++actsPerPb_[bp < actsPerPb_.size() ? bp
                                             : actsPerPb_.size() - 1];
-        NUAT_METRIC(if (metrics_) {
-            metrics_->actPb[bp < cfg_.numPb() ? bp : cfg_.numPb() - 1]
-                ->inc();
-        });
     } else if (isColumnCmd(chosen.cmd.type)) {
-        bool want_pb = cfg_.ppmEnabled;
-        NUAT_METRIC(want_pb = want_pb || metrics_ != nullptr);
-        if (want_pb) {
-            const auto &refresh =
-                ctx.dev->refreshFor(chosen.cmd.rank, chosen.cmd.bank);
-            const RowId open_row =
-                ctx.dev->bank(chosen.cmd.rank, chosen.cmd.bank)
-                    .openRow();
-            const PbIdx pb = pbr_->pbOfRow(refresh, open_row);
-            NUAT_METRIC(if (metrics_) {
-                const std::size_t p = pb.value();
-                metrics_
-                    ->colPb[p < cfg_.numPb() ? p : cfg_.numPb() - 1]
-                    ->inc();
-            });
-            if (cfg_.ppmEnabled) {
-                // PPM: per-PB page-mode selection against the PHRC
-                // estimate.
-                PagePolicy mode = ppm_->modeFor(pb, phrc_.hitRate());
-                // Under DARP/SARP a due refresh may be parked behind
-                // this bank's queued demand; eagerly closing the row
-                // lets the deferred REFsb slot in the moment the bank
-                // drains (DSARP's close-on-pending-refresh hint).
-                if (ctx.refreshPolicy != RefreshPolicy::kInOrder &&
-                    mode == PagePolicy::kOpen &&
-                    ctx.dev->refreshFor(chosen.cmd.rank, chosen.cmd.bank)
-                        .due(ctx.now)) {
-                    mode = PagePolicy::kClose;
-                }
-                applyPagePolicy(chosen, mode, cfg_.graceClose);
-                if (mode == PagePolicy::kClose) {
-                    ++ppmClose_;
-                    NUAT_METRIC(if (metrics_) metrics_->ppmClose->inc());
-                } else {
-                    ++ppmOpen_;
-                    NUAT_METRIC(if (metrics_) metrics_->ppmOpen->inc());
-                }
+        const auto &refresh =
+            ctx.dev->refreshFor(chosen.cmd.rank, chosen.cmd.bank);
+        const RowId open_row =
+            ctx.dev->bank(chosen.cmd.rank, chosen.cmd.bank).openRow();
+        const PbIdx pb = pbr_->pbOfRow(refresh, open_row);
+        const std::size_t cp = pb.value();
+        ++colsPerPb_[cp < colsPerPb_.size() ? cp : colsPerPb_.size() - 1];
+        if (cfg_.ppmEnabled) {
+            // PPM: per-PB page-mode selection against the PHRC
+            // estimate.
+            PagePolicy mode = ppm_->modeFor(pb, phrc_.hitRate());
+            // Under DARP/SARP a due refresh may be parked behind this
+            // bank's queued demand; eagerly closing the row lets the
+            // deferred REFsb slot in the moment the bank drains
+            // (DSARP's close-on-pending-refresh hint).
+            if (ctx.refreshPolicy != RefreshPolicy::kInOrder &&
+                mode == PagePolicy::kOpen && refresh.due(ctx.now)) {
+                mode = PagePolicy::kClose;
             }
+            applyPagePolicy(chosen, mode, cfg_.graceClose);
+            if (mode == PagePolicy::kClose)
+                ++ppmClose_;
+            else
+                ++ppmOpen_;
         }
     }
     return best;

@@ -15,6 +15,7 @@ DeviceCounters::merge(const DeviceCounters &other)
     reads += other.reads;
     writes += other.writes;
     autoPres += other.autoPres;
+    readAutoPres += other.readAutoPres;
     refreshes += other.refreshes;
     marginViolations += other.marginViolations;
     for (std::size_t i = 0; i < 16; ++i)
@@ -363,6 +364,7 @@ DramDevice::issue(const Command &cmd, Cycle now)
         } else {
             r.banks[cmd.bank.value()].onReadAp(now, tp_);
             ++counters_.autoPres;
+            ++counters_.readAutoPres;
         }
         ++counters_.reads;
         // Data-bus interleaving: back-to-back reads gap by tCCD

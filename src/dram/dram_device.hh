@@ -99,10 +99,11 @@ class RankState
 struct DeviceCounters
 {
     std::uint64_t acts = 0;
-    std::uint64_t pres = 0;     //!< explicit PREs only
-    std::uint64_t reads = 0;    //!< including RDA
-    std::uint64_t writes = 0;   //!< including WRA
-    std::uint64_t autoPres = 0; //!< RDA + WRA
+    std::uint64_t pres = 0;         //!< explicit PREs only
+    std::uint64_t reads = 0;        //!< including RDA
+    std::uint64_t writes = 0;       //!< including WRA
+    std::uint64_t autoPres = 0;     //!< RDA + WRA
+    std::uint64_t readAutoPres = 0; //!< RDA only (WRA = the rest)
     std::uint64_t refreshes = 0;
     /** ACTs binned by whole-cycle tRCD reduction actually used. */
     std::uint64_t actsByTrcdReduction[16] = {};

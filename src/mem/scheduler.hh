@@ -155,11 +155,11 @@ class Scheduler
 
     /**
      * Register this scheduler's metrics under @p prefix (e.g.
-     * "sched0.") and keep raw handles for hot-path updates.  Called at
-     * most once, before the first tick; @p registry must outlive the
-     * scheduler.  Attaching never changes scheduling decisions — the
-     * instrumentation is observation-only.  The default exports
-     * nothing.
+     * "sched0.") as views of its own counters (see metrics.hh).
+     * Called at most once, before the first tick; the scheduler must
+     * outlive @p registry's last sample.  Attaching never changes
+     * scheduling decisions — the instrumentation is observation-only.
+     * The default exports nothing.
      */
     virtual void attachMetrics(MetricRegistry &registry,
                                const std::string &prefix)

@@ -860,61 +860,63 @@ publishServeMetrics(const ServeResult &res, MetricRegistry &registry)
     {
         const char *name;
         const char *help;
-        std::uint64_t value;
+        const std::uint64_t *value;
+    };
+    auto publish = [&](const std::string &prefix, const Count &c) {
+        const std::uint64_t *value = c.value;
+        registry.counter(prefix + c.name, [value] { return *value; },
+                         c.help);
     };
     const Count totals[] = {
         {"produced", "requests drawn from the producer streams",
-         res.requestsProduced},
+         &res.requestsProduced},
         {"ingested", "requests pushed into the shard ingest rings",
-         res.requestsIngested},
+         &res.requestsIngested},
         {"retired", "requests completed by the controllers",
-         res.requestsRetired},
-        {"reads_retired", "reads whose data returned", res.readsRetired},
-        {"writes_retired", "writes accepted (posted)", res.writesRetired},
+         &res.requestsRetired},
+        {"reads_retired", "reads whose data returned", &res.readsRetired},
+        {"writes_retired", "writes accepted (posted)", &res.writesRetired},
         {"shed_admission", "requests shed at a full ingest ring",
-         res.shedAdmission},
+         &res.shedAdmission},
         {"shed_timeout", "requests shed past their dispatch deadline",
-         res.shedTimeout},
+         &res.shedTimeout},
         {"shed_poison", "requests shed by the ingest integrity check",
-         res.shedPoison},
+         &res.shedPoison},
         {"poisoned_injected",
          "chaos-poisoned requests injected by producers",
-         res.poisonedInjected},
+         &res.poisonedInjected},
         {"backpressure_yields", "producer yields at a full ring",
-         res.backpressureYields},
+         &res.backpressureYields},
         {"backoff_rounds", "producer SpinBackoff pauses",
-         res.backoffRounds},
+         &res.backoffRounds},
         {"watchdog_recoveries",
          "shard recoveries honored after a watchdog request",
-         res.watchdogRecoveries},
+         &res.watchdogRecoveries},
         {"watchdog_ease_steps",
          "hysteresis easings after sustained clean polls",
-         res.watchdogEaseSteps},
+         &res.watchdogEaseSteps},
     };
     for (const Count &c : totals)
-        registry.counter(std::string("serve.") + c.name, c.help)
-            .inc(c.value);
+        publish("serve.", c);
     for (unsigned k = 0; k < kServeClasses; ++k) {
         const std::string prefix = "serve.c" + std::to_string(k) + ".";
         const ServeClassStats &c = res.classes[k];
         const Count perClass[] = {
             {"produced", "requests of this priority class produced",
-             c.produced},
+             &c.produced},
             {"retired", "requests of this priority class retired",
-             c.retired},
+             &c.retired},
             {"shed_admission", "admission sheds of this priority class",
-             c.shedAdmission},
+             &c.shedAdmission},
             {"shed_timeout", "deadline sheds of this priority class",
-             c.shedTimeout},
+             &c.shedTimeout},
             {"shed_poison", "integrity sheds of this priority class",
-             c.shedPoison},
+             &c.shedPoison},
         };
         for (const Count &m : perClass)
-            registry.counter(prefix + m.name, m.help).inc(m.value);
-        registry
-            .histogram(prefix + "read_latency", 0.0, 8.0, 256,
-                       "admitted-to-data read latency [cycles]")
-            .merge(c.readLatency);
+            publish(prefix, m);
+        registry.histogram(prefix + "read_latency", c.readLatency,
+                           "admitted-to-data read latency [cycles]");
     }
 }
 

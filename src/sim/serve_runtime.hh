@@ -346,9 +346,10 @@ struct ServeResult
 ServeResult runServe(const ServeConfig &cfg);
 
 /**
- * Publish @p res into @p registry as serve.* counters and per-class
- * serve.c<k>.* counters / read-latency histograms (see
- * OBSERVABILITY.md for the name table).
+ * Register views over @p res in @p registry: serve.* counters and
+ * per-class serve.c<k>.* counters / read-latency histograms (see
+ * OBSERVABILITY.md for the name table).  @p res must outlive every
+ * sample of @p registry.
  */
 void publishServeMetrics(const ServeResult &res,
                          MetricRegistry &registry);

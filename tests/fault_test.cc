@@ -422,7 +422,6 @@ TEST(GuardbandTest, ConfigValidationRejectsNonsense)
     setPanicThrows(false);
 }
 
-#if NUAT_METRICS_ENABLED
 TEST(FaultIntegrationTest, GuardbandLadderIsObservableInMetricStream)
 {
     ExperimentConfig cfg;
@@ -443,4 +442,3 @@ TEST(FaultIntegrationTest, GuardbandLadderIsObservableInMetricStream)
     EXPECT_NE(all.find("guard_quarantines"), std::string::npos);
     std::remove(cfg.metricsOutPath.c_str());
 }
-#endif

@@ -1,21 +1,25 @@
 /**
  * @file
- * Metrics subsystem tests: registry semantics, histogram bucketing,
- * interval-sampler boundary behaviour, JSONL/trace serialization, and
- * the end-to-end invariants the observability layer promises —
- * per-PB series consistent with the run aggregates, and metrics-on
- * runs byte-identical (modulo the metrics block) to metrics-off runs,
- * including against the committed golden snapshots.
+ * Metrics subsystem tests: registry-of-views semantics, histogram
+ * bucketing, interval-sampler boundary behaviour, JSONL/trace
+ * serialization, and the end-to-end invariants the observability layer
+ * promises — per-PB series and the read-latency histogram consistent
+ * with the run aggregates, and metrics-on runs byte-identical (modulo
+ * the metrics block) to metrics-off runs, including against the
+ * committed golden snapshots.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "sim/result_json.hh"
 #include "sim/runner.hh"
@@ -24,9 +28,7 @@ using namespace nuat;
 
 namespace {
 
-// Some helpers are only used by the NUAT_METRICS_ENABLED end-to-end
-// tests below; keep the -DNUAT_METRICS=OFF build warning-clean.
-[[maybe_unused]] std::vector<std::string>
+std::vector<std::string>
 readLines(const std::string &path)
 {
     std::ifstream in(path);
@@ -51,7 +53,7 @@ extractNumber(const std::string &json, const std::string &key)
 }
 
 /** Sum of every `"<prefix>...":<number>` pair in @p json. */
-[[maybe_unused]] double
+double
 sumMatching(const std::string &json, const std::string &prefix)
 {
     double sum = 0.0;
@@ -67,44 +69,130 @@ sumMatching(const std::string &json, const std::string &prefix)
     return sum;
 }
 
-[[maybe_unused]] std::string
+std::string
 tmpPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
 }
 
+/** A histogram object of a JSONL record, as serialized. */
+struct SeriesHistogram
+{
+    double lo = 0.0;
+    double width = 0.0;
+    std::vector<double> buckets;
+    double underflow = 0.0;
+    double count = 0.0;
+    double sum = 0.0;
+
+    /** Histogram::percentile's bucket interpolation over the
+     *  serialized counts; NaN when @p fraction lands in the overflow,
+     *  which the series cannot place. */
+    double
+    percentile(double fraction) const
+    {
+        const double target = fraction * count;
+        double seen = underflow;
+        if (target <= seen)
+            return lo;
+        for (std::size_t i = 0; i < buckets.size(); ++i) {
+            const double next = seen + buckets[i];
+            if (target <= next && buckets[i] > 0.0) {
+                const double within = (target - seen) / buckets[i];
+                return lo + (static_cast<double>(i) + within) * width;
+            }
+            seen = next;
+        }
+        return std::nan("");
+    }
+};
+
+/** Parse histogram @p name out of JSONL record @p json. */
+SeriesHistogram
+parseHistogram(const std::string &json, const std::string &name)
+{
+    const std::size_t at = json.find("\"" + name + "\":{");
+    EXPECT_NE(at, std::string::npos) << "histogram " << name;
+    if (at == std::string::npos)
+        return {};
+    const std::string obj = json.substr(at, json.find('}', at) - at);
+    SeriesHistogram h;
+    h.lo = extractNumber(obj, "lo");
+    h.width = extractNumber(obj, "width");
+    h.underflow = extractNumber(obj, "underflow");
+    h.count = extractNumber(obj, "count");
+    h.sum = extractNumber(obj, "sum");
+    const std::size_t open = obj.find('[');
+    std::istringstream in(obj.substr(open + 1, obj.find(']') - open - 1));
+    for (std::string v; std::getline(in, v, ',');)
+        h.buckets.push_back(std::strtod(v.c_str(), nullptr));
+    return h;
+}
+
 } // namespace
 
-TEST(MetricRegistryTest, ReRegistrationSharesTheInstance)
+TEST(MetricRegistryTest, ViewsAreReadAtEveryRecord)
 {
     MetricRegistry reg;
-    Counter &a = reg.counter("reads", "reads issued");
-    a.inc(3);
-    Counter &b = reg.counter("reads");
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(b.value(), 3u);
-
-    Gauge &g = reg.gauge("depth");
-    g.set(4.0);
-    g.add(0.5);
-    EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 4.5);
-
-    Histogram &h = reg.histogram("lat", 0.0, 8.0, 4);
-    h.sample(1.0);
-    EXPECT_EQ(&h, &reg.histogram("lat", 0.0, 8.0, 4));
-    EXPECT_EQ(h.summary().count(), 1u);
+    std::uint64_t reads = 0;
+    int depth_reads = 0;
+    Histogram lat(0.0, 8.0, 4);
+    reg.counter("reads", [&] { return reads; }, "reads issued");
+    reg.gauge("depth", [&] {
+        ++depth_reads;
+        return static_cast<double>(depth_reads) * 2.0;
+    });
+    reg.histogram("lat", lat);
 
     ASSERT_EQ(reg.entries().size(), 3u);
-    EXPECT_EQ(reg.entries()[0]->name, "reads");
-    EXPECT_EQ(reg.entries()[0]->description, "reads issued");
-    EXPECT_EQ(reg.entries()[1]->name, "depth");
-    EXPECT_EQ(reg.entries()[2]->name, "lat");
+    EXPECT_EQ(reg.entries()[0].name, "reads");
+    EXPECT_EQ(reg.entries()[0].description, "reads issued");
+    EXPECT_EQ(reg.entries()[1].name, "depth");
+    EXPECT_EQ(reg.entries()[2].name, "lat");
+    EXPECT_EQ(depth_reads, 0); // registering reads nothing
+
+    // A name registers once: no get-or-create sharing.
+    setPanicThrows(true);
+    EXPECT_THROW(reg.counter("reads", [] { return std::uint64_t{0}; }),
+                 std::logic_error);
+    setPanicThrows(false);
+    EXPECT_EQ(reg.entries().size(), 3u);
+
+    std::ostringstream out;
+    IntervalSampler sampler(reg, 10, &out);
+    reads = 3;
+    lat.sample(1.0);
+    sampler.advanceTo(20);
+    EXPECT_EQ(depth_reads, 2);
+    // A fast-forward jump emits one record per boundary (30, 40, 50),
+    // each reading every view afresh.
+    reads = 7;
+    lat.sample(9.0);
+    sampler.advanceTo(55);
+    EXPECT_EQ(depth_reads, 5);
+
+    const auto lines = [&] {
+        std::vector<std::string> v;
+        std::istringstream in(out.str());
+        for (std::string l; std::getline(in, l);)
+            v.push_back(l);
+        return v;
+    }();
+    ASSERT_EQ(lines.size(), 5u);
+    const double want_reads[] = {3, 3, 7, 7, 7};
+    const double want_count[] = {1, 1, 2, 2, 2};
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(extractNumber(lines[i], "reads"), want_reads[i]) << i;
+        EXPECT_EQ(extractNumber(lines[i], "depth"),
+                  2.0 * static_cast<double>(i + 1))
+            << i;
+        EXPECT_EQ(extractNumber(lines[i], "count"), want_count[i]) << i;
+    }
 }
 
 TEST(MetricRegistryTest, HistogramBucketing)
 {
-    MetricRegistry reg;
-    Histogram &h = reg.histogram("h", 0.0, 10.0, 4);
+    Histogram h(0.0, 10.0, 4);
     h.sample(-0.5);  // underflow
     h.sample(0.0);   // bucket 0
     h.sample(9.99);  // bucket 0
@@ -145,14 +233,15 @@ TEST(MetricRegistryTest, SampleNMatchesRepeatedSample)
 TEST(IntervalSamplerTest, EmitsOneRecordPerBoundary)
 {
     MetricRegistry reg;
-    Counter &ticks = reg.counter("ticks");
+    std::uint64_t ticks = 0;
+    reg.counter("ticks", [&] { return ticks; });
     std::ostringstream out;
     IntervalSampler sampler(reg, 100, &out);
 
     sampler.advanceTo(99);
     EXPECT_EQ(sampler.samples(), 0u);
 
-    ticks.inc();
+    ++ticks;
     sampler.advanceTo(100); // boundary exactly reached
     EXPECT_EQ(sampler.samples(), 1u);
 
@@ -186,7 +275,7 @@ TEST(IntervalSamplerTest, EmitsOneRecordPerBoundary)
 TEST(IntervalSamplerTest, FinishOnBoundaryAddsNoExtraRecord)
 {
     MetricRegistry reg;
-    reg.counter("c");
+    reg.counter("c", [] { return std::uint64_t{0}; });
     std::ostringstream out;
     IntervalSampler sampler(reg, 100, &out);
     sampler.finish(300);
@@ -196,7 +285,7 @@ TEST(IntervalSamplerTest, FinishOnBoundaryAddsNoExtraRecord)
 TEST(IntervalSamplerTest, RunShorterThanOneIntervalStillReports)
 {
     MetricRegistry reg;
-    reg.counter("c");
+    reg.counter("c", [] { return std::uint64_t{0}; });
     std::ostringstream out;
     IntervalSampler sampler(reg, 1000, &out);
     sampler.advanceTo(50);
@@ -206,37 +295,13 @@ TEST(IntervalSamplerTest, RunShorterThanOneIntervalStillReports)
     EXPECT_EQ(extractNumber(out.str(), "t"), 50.0);
 }
 
-TEST(IntervalSamplerTest, SampleHooksRunBeforeEachRecord)
-{
-    MetricRegistry reg;
-    Gauge &depth = reg.gauge("depth");
-    int calls = 0;
-    reg.addSampleHook([&] {
-        ++calls;
-        depth.set(static_cast<double>(calls) * 2.0);
-    });
-    std::ostringstream out;
-    IntervalSampler sampler(reg, 10, &out);
-    sampler.advanceTo(20);
-    EXPECT_EQ(calls, 2);
-    const auto lines = [&] {
-        std::vector<std::string> v;
-        std::istringstream in(out.str());
-        for (std::string l; std::getline(in, l);)
-            v.push_back(l);
-        return v;
-    }();
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(extractNumber(lines[0], "depth"), 2.0);
-    EXPECT_EQ(extractNumber(lines[1], "depth"), 4.0);
-}
-
 TEST(IntervalSamplerTest, JsonlRecordRoundTrips)
 {
     MetricRegistry reg;
-    reg.counter("ops").inc(42);
-    reg.gauge("ratio").set(0.375); // exact in binary, %.17g safe
-    Histogram &h = reg.histogram("lat", 0.0, 2.0, 3);
+    reg.counter("ops", [] { return std::uint64_t{42}; });
+    reg.gauge("ratio", [] { return 0.375; }); // exact, %.17g safe
+    Histogram h(0.0, 2.0, 3);
+    reg.histogram("lat", h);
     h.sample(1.0);
     h.sample(3.0);
     h.sample(99.0);
@@ -278,8 +343,6 @@ TEST(TraceEventSinkTest, EmitsCounterEventArray)
         std::string::npos)
         << s;
 }
-
-#if NUAT_METRICS_ENABLED
 
 namespace {
 
@@ -352,6 +415,31 @@ TEST(MetricsEndToEndTest, SeriesIsConsistentWithRunAggregates)
     }
 }
 
+TEST(MetricsEndToEndTest, SeriesHistogramMatchesRunLatency)
+{
+    // Eight cores on one channel: deep queues push the tail well past
+    // 512 cycles, so a histogram that stops short of the ledger's
+    // range would drop the p95/p99 into its overflow.
+    ExperimentConfig cfg;
+    cfg.workloads = {"libq", "stream", "MT-fluid", "ferret",
+                     "face", "comm3",  "fluid",    "leslie"};
+    cfg.memOpsPerCore = 1500;
+    cfg.seed = 5;
+    cfg.metricsOutPath = tmpPath("metrics_latency.jsonl");
+    cfg.metricsInterval = 10000;
+    const RunResult r = runExperiment(cfg);
+    ASSERT_GT(r.readLatencyPercentile(0.95), 512.0);
+
+    const auto lines = readLines(cfg.metricsOutPath);
+    ASSERT_FALSE(lines.empty());
+    const SeriesHistogram h =
+        parseHistogram(lines.back(), "ctrl0.read_latency");
+    EXPECT_EQ(h.count, static_cast<double>(r.ctrl.readsCompleted));
+    EXPECT_EQ(h.sum, r.ctrl.readLatencySum);
+    EXPECT_DOUBLE_EQ(h.percentile(0.95), r.readLatencyPercentile(0.95));
+    EXPECT_DOUBLE_EQ(h.percentile(0.99), r.readLatencyPercentile(0.99));
+}
+
 TEST(MetricsEndToEndTest, MetricsDoNotPerturbTheSimulation)
 {
     const ExperimentConfig cfg_off = smallNuatConfig();
@@ -396,5 +484,3 @@ TEST(MetricsEndToEndTest, MetricsOnRunMatchesCommittedGoldenSnapshot)
     expected << in.rdbuf();
     EXPECT_EQ(runResultToJson(r), expected.str());
 }
-
-#endif // NUAT_METRICS_ENABLED

@@ -6,11 +6,6 @@ are invisible to the type system even after the strong-type refactor
 (types.hh).  This linter enforces them statically, before a simulation
 ever runs:
 
-  metric-pairing     every metric field read through ``metrics_->X``
-                     inside a ``NUAT_METRIC(...)`` site is registered
-                     (``m.X = &registry...``) in an ``attachMetrics``
-                     in the same translation unit, and vice versa a
-                     file using metric fields has an attachMetrics.
   observer-purity    ``CommandObserver`` implementations stay passive:
                      ``onCommand`` takes ``const Command &``, no
                      ``const_cast``, no mutable pointer/reference to
@@ -168,56 +163,6 @@ def _suppressed(raw_lines, lineno, rule):
             allowed = {r.strip() for r in m.group(1).split(",")}
             return rule in allowed
     return False
-
-
-# ---------------------------------------------------------------------------
-# Rule: metric-pairing
-# ---------------------------------------------------------------------------
-
-METRIC_USE_RE = re.compile(r"metrics_->(\w+)\s*([([]?)")
-METRIC_MACRO_RE = re.compile(r"\bNUAT_METRIC\s*\(")
-
-
-def check_metric_pairing(relpath, text, stripped):
-    if not relpath.startswith("src/") or not relpath.endswith(".cc"):
-        return []
-    findings = []
-    uses = {}
-    for m in METRIC_USE_RE.finditer(stripped):
-        field, follow = m.group(1), m.group(2)
-        if follow == "(":  # method call on a registry, not a field read
-            continue
-        uses.setdefault(field, _line_of(stripped, m.start()))
-    if not uses:
-        return []
-    if "attachMetrics" not in stripped:
-        line = min(uses.values())
-        findings.append(
-            Finding(
-                relpath,
-                line,
-                "metric-pairing",
-                "metric fields used but no attachMetrics() in this file",
-            )
-        )
-        return findings
-    for field, line in sorted(uses.items(), key=lambda kv: kv[1]):
-        reg = re.search(
-            r"\b(?:m|metrics)\.%s\b\s*(?:\[[^\]]*\]\s*)?=" % re.escape(field),
-            stripped,
-        )
-        if not reg:
-            findings.append(
-                Finding(
-                    relpath,
-                    line,
-                    "metric-pairing",
-                    "metrics_->%s used but never registered in "
-                    "attachMetrics (expected 'm.%s = &registry...')"
-                    % (field, field),
-                )
-            )
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +845,6 @@ def check_header_hygiene(relpath, text, stripped):
 
 
 RULES = {
-    "metric-pairing": check_metric_pairing,
     "observer-purity": check_observer_purity,
     "raw-timing": check_raw_timing,
     "preset-literal": check_preset_literal,
@@ -980,19 +924,6 @@ def lint_tree(root, subset=None, verbose=False):
 # ---------------------------------------------------------------------------
 
 FIXTURES = {
-    "metric-pairing": (
-        "src/core/broken_metric.cc",
-        """
-void Thing::tick()
-{
-    NUAT_METRIC(if (metrics_) metrics_->orphanCounter->inc());
-}
-void Thing::attachMetrics(MetricRegistry &registry)
-{
-    m.somethingElse = &registry.counter("x", "y");
-}
-""",
-    ),
     "observer-purity": (
         "src/verify/broken_observer.hh",
         """
@@ -1218,7 +1149,8 @@ def selftest():
     if failures:
         print("selftest: %d FAILURES" % failures)
         return 1
-    print("selftest: all %d rules verified" % len(FIXTURES))
+    rules = {rule.split("#")[0] for rule in FIXTURES}
+    print("selftest: all %d rules verified" % len(rules))
     return 0
 
 
