@@ -84,8 +84,7 @@ ExperimentConfig::validate() const
     nuat_assert(memOpsPerCore > 0);
     nuat_assert(maxMemCycles > 0);
     nuat_assert(busMhz > 0.0 && cpuPerMem >= 1);
-    nuat_assert(!metricsEnabled() || metricsInterval > 0,
-                "(metricsInterval must be positive)");
+    nuat_assert(metricsInterval > 0, "(metricsInterval must be positive)");
     // The fault world is keyed by (rank, row) rank-wide; per-bank
     // refresh would need per-bank restore routing it does not model.
     nuat_assert(!faultsEnabled() ||

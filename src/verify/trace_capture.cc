@@ -51,7 +51,7 @@ CommandTraceWriter::CommandTraceWriter(const std::string &path,
     : out_(path)
 {
     if (!out_) {
-        nuat_panic("cannot open command-trace file '%s' for writing",
+        nuat_fatal("cannot open command-trace file '%s' for writing",
                    path.c_str());
     }
     nuat_assert(channels >= 1 && chan_geom.channels == 1);

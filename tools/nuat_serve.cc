@@ -29,6 +29,7 @@
 #include "trace/workload_profile.hh"
 
 using namespace nuat;
+using nuat::cli::parseCount;
 using nuat::cli::splitCommas;
 
 namespace {
@@ -39,21 +40,8 @@ constexpr int kExitAudit = 2;
 constexpr int kExitUsage = 64;    //!< EX_USAGE: bad command line
 constexpr int kExitBadInput = 65; //!< EX_DATAERR: malformed input
 
-/** Strict unsigned parse; a garbage value is a usage error (64). */
-std::uint64_t
-parseCount(const std::string &flag, const char *v)
-{
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-        std::fprintf(stderr,
-                     "nuat_serve: %s needs an unsigned integer, got "
-                     "'%s'\n",
-                     flag.c_str(), v);
-        std::exit(kExitUsage);
-    }
-    return u;
-}
+/** A garbage flag value is a usage error (64). */
+constexpr cli::Tool kTool{"nuat_serve", kExitUsage};
 
 void
 usage()
@@ -120,18 +108,15 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--shards") {
-            cfg.shards =
-                static_cast<unsigned>(parseCount(arg, value()));
+            cfg.shards = parseCount<unsigned>(kTool, arg, value());
         } else if (arg == "--producers") {
-            cfg.producers =
-                static_cast<unsigned>(parseCount(arg, value()));
+            cfg.producers = parseCount<unsigned>(kTool, arg, value());
         } else if (arg == "--requests") {
-            cfg.requestsPerProducer = parseCount(arg, value());
+            cfg.requestsPerProducer = parseCount(kTool, arg, value());
         } else if (arg == "--queue-capacity") {
-            cfg.queueCapacity = parseCount(arg, value());
+            cfg.queueCapacity = parseCount(kTool, arg, value());
         } else if (arg == "--ingest-batch") {
-            cfg.ingestBatch =
-                static_cast<unsigned>(parseCount(arg, value()));
+            cfg.ingestBatch = parseCount<unsigned>(kTool, arg, value());
         } else if (arg == "--workloads") {
             cfg.experiment.workloads = splitCommas(value());
         } else if (arg == "--scheduler") {
@@ -143,10 +128,9 @@ main(int argc, char **argv)
                 return kExitUsage;
             }
         } else if (arg == "--pb") {
-            cfg.experiment.numPb =
-                static_cast<unsigned>(parseCount(arg, value()));
+            cfg.experiment.numPb = parseCount<unsigned>(kTool, arg, value());
         } else if (arg == "--seed") {
-            cfg.experiment.seed = parseCount(arg, value());
+            cfg.experiment.seed = parseCount(kTool, arg, value());
         } else if (arg == "--no-ppm") {
             cfg.experiment.ppmEnabled = false;
         } else if (arg == "--admission") {
@@ -162,13 +146,13 @@ main(int argc, char **argv)
             const std::vector<std::string> vals =
                 splitCommas(value());
             if (vals.size() == 1) {
-                const Cycle d = parseCount(arg, vals[0].c_str());
+                const Cycle d = parseCount(kTool, arg, vals[0].c_str());
                 for (auto &slot : cfg.deadlineCycles)
                     slot = d;
             } else if (vals.size() == kServeClasses) {
                 for (unsigned k = 0; k < kServeClasses; ++k)
                     cfg.deadlineCycles[k] =
-                        parseCount(arg, vals[k].c_str());
+                        parseCount(kTool, arg, vals[k].c_str());
             } else {
                 std::fprintf(stderr,
                              "nuat_serve: --deadline takes 1 or %u "
@@ -177,11 +161,11 @@ main(int argc, char **argv)
                 return kExitUsage;
             }
         } else if (arg == "--retry-rounds") {
-            cfg.retryPushRounds = parseCount(arg, value());
+            cfg.retryPushRounds = parseCount(kTool, arg, value());
         } else if (arg == "--max-push-rounds") {
-            cfg.blockPushRounds = parseCount(arg, value());
+            cfg.blockPushRounds = parseCount(kTool, arg, value());
         } else if (arg == "--admit-capacity") {
-            cfg.admitCapacity = parseCount(arg, value());
+            cfg.admitCapacity = parseCount(kTool, arg, value());
         } else if (arg == "--chaos-profile") {
             chaosArg = value();
         } else if (arg == "--deterministic") {
@@ -189,8 +173,7 @@ main(int argc, char **argv)
         } else if (arg == "--no-watchdog") {
             cfg.watchdog = false;
         } else if (arg == "--watchdog-polls") {
-            cfg.watchdogStallPolls =
-                static_cast<unsigned>(parseCount(arg, value()));
+            cfg.watchdogStallPolls = parseCount<unsigned>(kTool, arg, value());
         } else if (arg == "--metrics-out") {
             metricsOut = value();
         } else if (arg == "--audit") {
