@@ -63,7 +63,7 @@ class JsonObject
         if (!body_.empty())
             body_ += ",";
         if (pretty_)
-            body_ += "\n" + std::string(2 * depth_ + 2, ' ');
+            newline(body_, depth_ + 1);
         body_ += quoted(key) + (pretty_ ? ": " : ":") + value;
         return *this;
     }
@@ -88,11 +88,23 @@ class JsonObject
     std::string
     str() const
     {
-        return "{" + body_ +
-               (pretty_ ? "\n" + std::string(2 * depth_, ' ') : "") + "}";
+        std::string s = "{" + body_;
+        if (pretty_)
+            newline(s, depth_);
+        return s + "}";
     }
 
   private:
+    /** Append a newline and @p depth levels of indent.  Appended
+     *  piecewise: GCC 12's -Wrestrict misfires on `"\n" +
+     *  std::string(n, ' ')` in a -O2 -Werror build. */
+    static void
+    newline(std::string &s, unsigned depth)
+    {
+        s += '\n';
+        s.append(2 * static_cast<std::size_t>(depth), ' ');
+    }
+
     bool pretty_;
     unsigned depth_;
     std::string body_;
