@@ -298,6 +298,13 @@ serveGoldenCases()
     ServeConfig storm = cell("storm-stall", AdmissionPolicy::kShed);
     storm.deadlineCycles = {{0, 2000, 300}};
     cases.emplace_back("serve_storm_stall_shed", storm);
+    // The bench gate's serve.shed_ratio_under_storm cell, exactly as
+    // tools/bench_gate.py runs it (unaudited, 20000 requests per
+    // producer): its shed_total / produced is that ratio.
+    ServeConfig shed = cell("burst-storm", AdmissionPolicy::kShed);
+    shed.experiment.audit = false;
+    shed.requestsPerProducer = 20000;
+    cases.emplace_back("serve_burst_storm_shed", shed);
     return cases;
 }
 
