@@ -121,15 +121,10 @@ scriptedCandidates(std::size_t depth)
 }
 
 /**
- * The scheduler's scoring core, A/B-able between the legacy
- * per-candidate path (batch=0: one out-of-line score() call per slot)
- * and the batch path (batch=1: one inlined scoreBatch scan).  Both
- * arms read the same prebuilt candidate array and fill the same score
- * array, then run the identical argmax reduce — the gather and reduce
- * phases are common to the two pick structures, so the arms isolate
- * exactly the scoring core the refactor swapped: N calls with
- * per-call weight reloads vs one restrict-qualified pass with the
- * weights hoisted into registers.
+ * The scheduler's scoring core: the single pass NuatScheduler::pick
+ * makes over its candidates (score each, keep the argmax), timed over
+ * a prebuilt candidate array so the PBR lookups that fill ScoreInputs
+ * (BM_PbrLookup, BM_ZoneLookup) stay out of it.
  */
 void
 BM_SchedulerPick(benchmark::State &state)
@@ -137,22 +132,13 @@ BM_SchedulerPick(benchmark::State &state)
     ChargeFixture f;
     const NuatConfig cfg = NuatConfig::fromDerate(f.derate, 5);
     const NuatTable table(cfg);
-    const bool batched = state.range(0) != 0;
     const auto cands =
-        scriptedCandidates(static_cast<std::size_t>(state.range(1)));
-    std::vector<double> scores(cands.size());
+        scriptedCandidates(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
-        if (batched) {
-            table.scoreBatch(cands.data(), cands.size(),
-                             scores.data());
-        } else {
-            for (std::size_t i = 0; i < cands.size(); ++i)
-                scores[i] = table.score(cands[i]);
-        }
         int best = -1;
         double best_score = 0.0;
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            const double s = scores[i];
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+            const double s = table.score(cands[i]);
             if (best < 0 || s > best_score) {
                 best = static_cast<int>(i);
                 best_score = s;
@@ -162,9 +148,7 @@ BM_SchedulerPick(benchmark::State &state)
         benchmark::DoNotOptimize(best_score);
     }
 }
-BENCHMARK(BM_SchedulerPick)
-    ->ArgsProduct({{0, 1}, {8, 32, 64}})
-    ->ArgNames({"batch", "depth"});
+BENCHMARK(BM_SchedulerPick)->ArgName("depth")->Arg(8)->Arg(32)->Arg(64);
 
 void
 BM_DeviceCanIssue(benchmark::State &state)

@@ -200,15 +200,19 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
     ensureInit(ctx);
     drain_.update(ctx);
 
-    // Phase 1 (gather): resolve each candidate into the flat batch
-    // array; remember arrival per slot for the tie-break (the batch
-    // slot itself keeps wait / PB# for the reduction).
-    const std::size_t n = candidates.size();
-    batch_.clear();
-    batch_.reserve(n);
-    arrivalScratch_.clear();
+    // One pass: score each candidate, lift an over-age request above
+    // every table score (starvation escape, see
+    // NuatConfig::starvationLimit), and keep the argmax; equal scores
+    // (two starving requests included) break oldest arrival first.
+    const double boost =
+        10.0 * (table_.weights().w1 + 2.0 * table_.weights().w3);
+    const Cycle starve_limit = cfg_.starvationLimit;
     const bool draining = drain_.draining();
-    for (std::size_t i = 0; i < n; ++i) {
+    int best = -1;
+    double best_score = 0.0;
+    Cycle best_arrival = kNeverCycle;
+    ScoreInputs best_in;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
         const Candidate &c = candidates[i];
 
         ScoreInputs in;
@@ -225,45 +229,21 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
             in.pb = pbr_->pbOfRow(refresh, c.cmd.row);
             in.zone = pbr_->zoneOfRow(refresh, c.cmd.row);
         }
-        batch_.append(in);
-        arrivalScratch_.push_back(c.req ? c.req->arrivalAt
-                                        : kNeverCycle);
-    }
 
-    // Phase 2 (score): one call-free pass over the candidate array,
-    // bit-identical to per-candidate NuatTable::score.
-    table_.scoreBatch(batch_);
-
-    // Phase 3 (reduce): starvation boost + argmax with the same
-    // deterministic tie-breaking as the per-candidate loop (oldest
-    // arrival wins).  Starvation escape (see
-    // NuatConfig::starvationLimit): lift over-age requests above
-    // every table score; ties (two starving requests) still break
-    // oldest-first.
-    const double boost =
-        10.0 * (table_.weights().w1 + 2.0 * table_.weights().w3);
-    const Cycle starve_limit = cfg_.starvationLimit;
-    int best = -1;
-    double best_score = 0.0;
-    Cycle best_arrival = kNeverCycle;
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = batch_.score[i];
-        if (starve_limit > 0 &&
-            batch_.inputs[i].waitCycles > starve_limit)
+        double s = table_.score(in);
+        if (starve_limit > 0 && in.waitCycles > starve_limit)
             s += boost;
-        const Cycle arrival = arrivalScratch_[i];
+        const Cycle arrival = c.req ? c.req->arrivalAt : kNeverCycle;
         if (best < 0 || s > best_score ||
             (s == best_score && arrival < best_arrival)) {
             best = static_cast<int>(i);
             best_score = s;
             best_arrival = arrival;
+            best_in = in;
         }
     }
 
-    const std::size_t bi = static_cast<std::size_t>(best);
-    const ScoreInputs &best_in = batch_.inputs[bi];
-    const PbIdx best_pb = best_in.pb;
-    Candidate &chosen = candidates[bi];
+    Candidate &chosen = candidates[static_cast<std::size_t>(best)];
     ++picks_;
     if (starve_limit > 0 && best_in.waitCycles > starve_limit)
         ++starvationEscapes_;
@@ -278,11 +258,11 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
         // Run the activation at the PB's rated (charge-safe) timing —
         // degraded by the guardband ladder when fault evidence has
         // accumulated (quarantined row / widened bank / conservative).
-        PbIdx issue_pb = best_pb;
+        PbIdx issue_pb = best_in.pb;
         if (guardband_) {
             issue_pb = guardband_->clampPb(chosen.cmd.rank,
                                            chosen.cmd.bank,
-                                           chosen.cmd.row, best_pb,
+                                           chosen.cmd.row, best_in.pb,
                                            ctx.now);
         }
         chosen.cmd.actTiming = pbr_->ratedTiming(issue_pb);

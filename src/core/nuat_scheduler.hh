@@ -99,12 +99,6 @@ class NuatScheduler : public Scheduler
     std::unique_ptr<PpmDecisionMaker> ppm_;
     std::unique_ptr<GuardbandManager> guardband_;
 
-    /** Flat candidate batch + per-slot arrivals for the argmax
-     *  tie-break, reused across picks so the hot path never
-     *  allocates at steady state. */
-    ScoreBatch batch_;
-    std::vector<Cycle> arrivalScratch_;
-
     std::array<std::uint64_t, 8> actsPerPb_{};
     std::array<std::uint64_t, 8> colsPerPb_{}; //!< column cmds by PB#
     std::uint64_t ppmClose_ = 0;

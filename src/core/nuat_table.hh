@@ -24,9 +24,6 @@
 #ifndef NUAT_CORE_NUAT_TABLE_HH
 #define NUAT_CORE_NUAT_TABLE_HH
 
-#include <cstddef>
-#include <vector>
-
 #include "dram/command.hh"
 #include "nuat_config.hh"
 #include "pbr.hh"
@@ -46,59 +43,16 @@ struct ScoreInputs
     BoundaryZone zone = BoundaryZone::kNone;
 };
 
-/**
- * Candidate batch for the wholesale scoring pass: a flat candidate
- * array with a parallel score array.
- *
- * The scheduler gathers every issuable candidate's ScoreInputs into
- * `inputs`, then NuatTable::scoreBatch fills `score` in one inlined
- * scan — the per-candidate out-of-line NuatTable::score call is
- * hoisted out of the pick loop entirely.
- *
- * Layout note (measured, see PERFORMANCE.md): an earlier variant
- * pre-resolved each candidate into per-element x-factor arrays
- * (field-level struct-of-arrays).  At -O2 the extra stores and
- * reloads of that materialization cost more than the whole fused
- * scoring arithmetic, so the flat contiguous candidate array — the
- * record layout the gather loop produces anyway — is the fast one.
- *
- * Scores are bit-identical to per-candidate NuatTable::score on the
- * same inputs (identical expression, identical left-to-right
- * accumulation), so the scheduler's pick is byte-identical either way.
- */
-struct ScoreBatch
-{
-    std::vector<ScoreInputs> inputs; //!< gathered candidates, in order
-    std::vector<double> score;       //!< filled by NuatTable::scoreBatch
-
-    /** Candidates appended so far. */
-    std::size_t size() const { return inputs.size(); }
-
-    /** Append one candidate slot. */
-    void append(const ScoreInputs &in) { inputs.push_back(in); }
-
-    /** Drop all slots; keeps the capacity for reuse across picks. */
-    void
-    clear()
-    {
-        inputs.clear();
-        score.clear();
-    }
-
-    /** Pre-size the arrays for @p n candidates. */
-    void
-    reserve(std::size_t n)
-    {
-        inputs.reserve(n);
-        score.reserve(n);
-    }
-};
-
 /** Stateless scorer implementing Table 1. */
 class NuatTable
 {
   public:
-    explicit NuatTable(const NuatConfig &cfg);
+    explicit NuatTable(const NuatConfig &cfg)
+        : weights_(cfg.weights), es2Cap_(cfg.es2Cap),
+          pbEnabled_(cfg.pbElementEnabled),
+          boundaryEnabled_(cfg.boundaryElementEnabled)
+    {
+    }
 
     /** Element 1: OPERATION-TYPE. */
     double es1(const ScoreInputs &in) const;
@@ -116,30 +70,11 @@ class NuatTable
      *  ACT in a transition region). */
     double es5(const ScoreInputs &in) const;
 
-    /**
-     * Total score, eq. (8)/(9), for one candidate.  Deliberately kept
-     * out of line: this is the legacy per-candidate path that
-     * BM_SchedulerPick compares the batch scorer against, and the call
-     * per candidate is exactly what scoreBatch amortizes away.
-     */
-    double score(const ScoreInputs &in) const;
-
-    /**
-     * Score @p n candidates in one pass, writing score(in[i]) to
-     * out[i].  Defined inline so the five element evaluations fuse
-     * into a single call-free scan; out[i] is bit-identical to
-     * score(in[i]).
-     */
-    void scoreBatch(const ScoreInputs *in, std::size_t n,
-                    double *out) const;
-
-    /** Score every slot of @p batch, filling batch.score. */
-    void
-    scoreBatch(ScoreBatch &batch) const
+    /** Total score, eq. (8)/(9): es1 + es2 + es3 + es4 + es5. */
+    double
+    score(const ScoreInputs &in) const
     {
-        batch.score.resize(batch.inputs.size());
-        scoreBatch(batch.inputs.data(), batch.inputs.size(),
-                   batch.score.data());
+        return es1(in) + es2(in) + es3(in) + es4(in) + es5(in);
     }
 
     /** The weights in use. */
@@ -207,52 +142,6 @@ NuatTable::es5(const ScoreInputs &in) const
         break;
     }
     return 0.0;
-}
-
-inline void
-NuatTable::scoreBatch(const ScoreInputs *in, std::size_t n,
-                      double *out) const
-{
-    // Weights and enables are copied to locals so the scan keeps them
-    // in registers: the score stores are doubles, and without the
-    // copies the compiler must assume they may alias the double
-    // weights_ members and reload them every slot.
-    const double w1 = weights_.w1, w2 = weights_.w2;
-    const double w3 = weights_.w3, w5 = weights_.w5;
-    const double w4 = weights_.w4, cap = es2Cap_;
-    const bool pb_on = pbEnabled_, boundary_on = boundaryEnabled_;
-    const ScoreInputs *__restrict__ src = in;
-    double *__restrict__ dst = out;
-    for (std::size_t i = 0; i < n; ++i) {
-        // Each element below is the exact expression of its es*()
-        // counterpart, and the sum accumulates in the same
-        // left-to-right order as score(), so every slot is
-        // bit-identical to the per-candidate path.
-        const ScoreInputs &s = src[i];
-        const bool op_scores = s.draining ? s.isWrite : !s.isWrite;
-        const double e1 = op_scores ? w1 : 0.0;
-        double e2 = 0.0;
-        if (s.cmd != CmdType::kPre) {
-            const double w = w2 * static_cast<double>(s.waitCycles);
-            e2 = w > cap ? cap : w;
-        }
-        const double e3 = isColumnCmd(s.cmd) && s.isRowHit
-                              ? w3 * (s.isWrite ? 1.0 : 2.0)
-                              : 0.0;
-        const bool act = s.cmd == CmdType::kAct;
-        const double e4 =
-            pb_on && act
-                ? w4 * static_cast<double>(s.numPb - s.pb.value())
-                : 0.0;
-        double e5 = 0.0;
-        if (boundary_on && act) {
-            if (s.zone == BoundaryZone::kWarning)
-                e5 = w5;
-            else if (s.zone == BoundaryZone::kPromising)
-                e5 = -w5;
-        }
-        dst[i] = e1 + e2 + e3 + e4 + e5;
-    }
 }
 
 } // namespace nuat

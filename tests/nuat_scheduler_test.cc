@@ -287,5 +287,124 @@ TEST_F(NuatSchedulerTest, DegenerateW1W2W3MatchesFrFcfsOnReadSets)
     }
 }
 
+TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
+{
+    // Full Table 1 weights with the starvation escape on: pick() must
+    // return the candidate a reference argmax chooses, scoring with
+    // es1..es5 plus the boost and breaking ties by oldest arrival.
+    const PbrAcquisition pbr(cfg_, dev_->geometry().rows);
+    const RefreshEngine &refresh = dev_->refreshFor(RankId{0}, BankId{0});
+    // Rows in a transition region, so Element 5 is exercised too.
+    std::vector<std::uint32_t> zoned;
+    for (std::uint32_t row = 0; row < refresh.rows(); ++row)
+        if (pbr.zoneOfRow(refresh, RowId{row}) != BoundaryZone::kNone)
+            zoned.push_back(row);
+    ASSERT_FALSE(zoned.empty());
+    ASSERT_GT(cfg_.starvationLimit, 0u);
+
+    auto reference = [&](const NuatTable &t,
+                         const std::vector<Candidate> &cands, Cycle now,
+                         bool draining, unsigned *boosted,
+                         unsigned *tie_breaks) {
+        const double boost =
+            10.0 * (t.weights().w1 + 2.0 * t.weights().w3);
+        int best = -1;
+        double best_score = 0.0;
+        Cycle best_arrival = kNeverCycle;
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+            const Candidate &c = cands[i];
+            ScoreInputs in;
+            in.cmd = c.cmd.type;
+            in.isWrite = c.isWrite;
+            in.isRowHit = c.isRowHit;
+            in.waitCycles = c.req ? now - c.req->arrivalAt : Cycle{0};
+            in.draining = draining;
+            in.numPb = cfg_.numPb();
+            if (c.cmd.type == CmdType::kAct) {
+                in.pb = pbr.pbOfRow(refresh, c.cmd.row);
+                in.zone = pbr.zoneOfRow(refresh, c.cmd.row);
+            }
+            double s = t.es1(in) + t.es2(in) + t.es3(in) + t.es4(in) +
+                       t.es5(in);
+            if (in.waitCycles > cfg_.starvationLimit) {
+                s += boost;
+                ++*boosted;
+            }
+            const Cycle arrival =
+                c.req ? c.req->arrivalAt : kNeverCycle;
+            if (s == best_score && arrival < best_arrival)
+                ++*tie_breaks;
+            if (best < 0 || s > best_score ||
+                (s == best_score && arrival < best_arrival)) {
+                best = static_cast<int>(i);
+                best_score = s;
+                best_arrival = arrival;
+            }
+        }
+        return best;
+    };
+
+    Rng rng(0x9a1c7u);
+    unsigned boosted = 0;
+    unsigned tie_breaks = 0;
+    for (int round = 0; round < 100; ++round) {
+        NuatConfig cfg = cfg_;
+        cfg.pbElementEnabled = rng.chance(0.5);
+        cfg.boundaryElementEnabled = rng.chance(0.5);
+        NuatScheduler sched(cfg);
+        const NuatTable table(cfg);
+        // Several picks per scheduler, so the write-drain hysteresis
+        // carries state between them.
+        for (int trial = 0; trial < 10; ++trial) {
+            const Cycle now = 1000 + static_cast<Cycle>(trial);
+            const std::size_t n = 1 + rng.below(12);
+            std::vector<Request> reqs(n);
+            std::vector<Candidate> cands;
+            for (std::size_t i = 0; i < n; ++i) {
+                // Waits straddle the 200-cycle starvation limit.
+                const Cycle arrival = now - rng.below(400);
+                const bool write = rng.chance(0.4);
+                switch (rng.below(4)) {
+                  case 0: {
+                      const std::uint32_t row =
+                          rng.chance(0.5)
+                              ? zoned[rng.below(zoned.size())]
+                              : static_cast<std::uint32_t>(
+                                    rng.below(refresh.rows()));
+                      cands.push_back(
+                          actCand(row, &reqs[i], arrival, write));
+                      break;
+                  }
+                  case 1:
+                    cands.push_back(
+                        colCand(CmdType::kRead, &reqs[i], arrival));
+                    break;
+                  case 2:
+                    cands.push_back(
+                        colCand(CmdType::kWrite, &reqs[i], arrival));
+                    break;
+                  default: {
+                      Candidate c = actCand(0, &reqs[i], arrival, write);
+                      c.cmd.type = CmdType::kPre;
+                      if (rng.chance(0.25))
+                          c.req = nullptr; // no driving request
+                      cands.push_back(c);
+                      break;
+                  }
+                }
+            }
+            const std::vector<Candidate> before = cands;
+            const int got = sched.pick(cands, ctx(now, rng.below(60)));
+            EXPECT_EQ(got, reference(table, before, now,
+                                     sched.draining(), &boosted,
+                                     &tie_breaks))
+                << "round " << round << " trial " << trial;
+        }
+    }
+    // The mixes reached the boost and the arrival tie-break.
+    EXPECT_GT(boosted, 0u);
+    EXPECT_GT(tie_breaks, 0u);
+}
+
 } // namespace
 } // namespace nuat

@@ -9,7 +9,6 @@
 
 #include "charge/timing_derate.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "core/nuat_table.hh"
 
 namespace nuat {
@@ -203,65 +202,6 @@ TEST_F(NuatTableTest, DegenerateWeightsRecoverFrFcfsOrdering)
     act.pb = PbIdx{0};
     act.zone = BoundaryZone::kWarning;
     EXPECT_GT(t.score(hit), t.score(act));
-}
-
-TEST_F(NuatTableTest, BatchScoresBitIdenticalToPerElementPath)
-{
-    // The batch scorer must agree with es1+es2+es3+es4+es5 (and with
-    // score()) to the last bit on arbitrary inputs: the scheduler's
-    // argmax compares doubles with ==, so "close" is not enough.
-    Rng rng(0xba7c4u);
-    constexpr std::size_t kRounds = 200;
-    constexpr std::size_t kDepth = 64;
-    ScoreBatch batch;
-    batch.reserve(kDepth);
-    for (std::size_t round = 0; round < kRounds; ++round) {
-        // Exercise the element-enable gates too, not just the mix.
-        NuatConfig cfg = cfg_;
-        cfg.pbElementEnabled = round % 3 != 0;
-        cfg.boundaryElementEnabled = round % 4 != 0;
-        const NuatTable t(cfg);
-        batch.clear();
-        for (std::size_t i = 0; i < kDepth; ++i) {
-            ScoreInputs in;
-            switch (rng.below(4)) {
-              case 0:
-                in.cmd = CmdType::kAct;
-                break;
-              case 1:
-                in.cmd = CmdType::kRead;
-                break;
-              case 2:
-                in.cmd = CmdType::kWrite;
-                break;
-              default:
-                in.cmd = CmdType::kPre;
-                break;
-            }
-            in.isWrite = rng.chance(0.5);
-            in.isRowHit = rng.chance(0.5);
-            in.draining = rng.chance(0.3);
-            in.waitCycles = Cycle{rng.below(1u << 20)};
-            in.pb = PbIdx{static_cast<std::uint8_t>(rng.below(5))};
-            in.numPb = 5;
-            const std::uint64_t z = rng.below(3);
-            in.zone = z == 0   ? BoundaryZone::kNone
-                      : z == 1 ? BoundaryZone::kWarning
-                               : BoundaryZone::kPromising;
-            batch.append(in);
-        }
-        t.scoreBatch(batch);
-        ASSERT_EQ(batch.score.size(), kDepth);
-        for (std::size_t i = 0; i < kDepth; ++i) {
-            const ScoreInputs &in = batch.inputs[i];
-            const double ref = t.es1(in) + t.es2(in) + t.es3(in) +
-                               t.es4(in) + t.es5(in);
-            // EXPECT_EQ, not EXPECT_DOUBLE_EQ: bit-identity.
-            EXPECT_EQ(batch.score[i], ref)
-                << "round " << round << " slot " << i;
-            EXPECT_EQ(batch.score[i], t.score(in));
-        }
-    }
 }
 
 TEST_F(NuatTableTest, ConfigValidationWarnsOnBadOrdering)
