@@ -1,5 +1,7 @@
 #include "adaptive_scheduler.hh"
 
+#include "frfcfs_scheduler.hh"
+
 namespace nuat {
 
 AdaptiveFrFcfsScheduler::AdaptiveFrFcfsScheduler(Cycle sub_window,
@@ -51,26 +53,7 @@ AdaptiveFrFcfsScheduler::pick(std::vector<Candidate> &candidates,
     if (candidates.empty())
         return -1;
     drain_.update(ctx);
-    const bool prefer_writes = drain_.draining();
-
-    auto better = [&](const Candidate &a, const Candidate &b) {
-        const bool ap = a.isWrite == prefer_writes;
-        const bool bp = b.isWrite == prefer_writes;
-        if (ap != bp)
-            return ap;
-        if (a.isRowHit != b.isRowHit)
-            return a.isRowHit;
-        const Cycle aa = a.req ? a.req->arrivalAt : kNeverCycle;
-        const Cycle ba = b.req ? b.req->arrivalAt : kNeverCycle;
-        return aa < ba;
-    };
-    int best = 0;
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-        if (better(candidates[i],
-                   candidates[static_cast<std::size_t>(best)]))
-            best = static_cast<int>(i);
-    }
-
+    const int best = frFcfsRank(candidates, drain_.draining());
     const PagePolicy mode = phrc_.hitRate() > threshold(ctx)
                                 ? PagePolicy::kOpen
                                 : PagePolicy::kClose;

@@ -3,15 +3,9 @@
 namespace nuat {
 
 int
-FrFcfsScheduler::pick(std::vector<Candidate> &candidates,
-                      const SchedContext &ctx)
+frFcfsRank(const std::vector<Candidate> &candidates, bool prefer_writes)
 {
-    if (candidates.empty())
-        return -1;
-    drain_.update(ctx);
-    const bool prefer_writes = drain_.draining();
-
-    // Rank by (preferred direction, row hit, age); larger is better.
+    // Larger is better: preferred direction, then row hit, then age.
     auto better = [&](const Candidate &a, const Candidate &b) {
         const bool ap = a.isWrite == prefer_writes;
         const bool bp = b.isWrite == prefer_writes;
@@ -30,6 +24,17 @@ FrFcfsScheduler::pick(std::vector<Candidate> &candidates,
                    candidates[static_cast<std::size_t>(best)]))
             best = static_cast<int>(i);
     }
+    return best;
+}
+
+int
+FrFcfsScheduler::pick(std::vector<Candidate> &candidates,
+                      const SchedContext &ctx)
+{
+    if (candidates.empty())
+        return -1;
+    drain_.update(ctx);
+    const int best = frFcfsRank(candidates, drain_.draining());
     applyPagePolicy(candidates[static_cast<std::size_t>(best)],
                     policy_, graceClose_);
     return best;

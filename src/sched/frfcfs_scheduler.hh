@@ -19,6 +19,15 @@
 
 namespace nuat {
 
+/**
+ * The FR-FCFS ranking every FR-FCFS flavour shares: the index of the
+ * best of the non-empty @p candidates by (preferred direction, row
+ * hit, oldest arrival), the first one winning a full tie.  Each
+ * scheduler then applies its own page policy to the winner.
+ */
+int frFcfsRank(const std::vector<Candidate> &candidates,
+               bool prefer_writes);
+
 /** First-ready FCFS with write-drain hysteresis and a page policy. */
 class FrFcfsScheduler : public Scheduler
 {
