@@ -71,11 +71,12 @@ ServeConfig::validate() const
                 "(admitCapacity must be positive)");
     nuat_assert(blockPushRounds >= 1 && retryPushRounds >= 1,
                 "(push-round budgets must be positive)");
-    nuat_assert(watchdogPollRounds >= 1 && watchdogPollYields >= 1 &&
-                    watchdogStallPolls >= 1 &&
-                    watchdogMaxRecoveries >= 1 &&
-                    watchdogCleanPolls >= 1,
-                "(watchdog parameters must be positive)");
+    nuat_assert(queueCapacity >= 1 &&
+                    queueCapacity <= kMaxServeQueueCapacity,
+                "(queueCapacity must be in [1, %zu])",
+                kMaxServeQueueCapacity);
+    nuat_assert(watchdogStallPolls >= 1,
+                "(watchdogStallPolls must be positive)");
     nuat_assert(!experiment.faultsEnabled(),
                 "(serve mode has no fault world; drop --fault-profile)");
     serveExperiment(*this).validate();
@@ -102,6 +103,14 @@ namespace {
 
 static_assert(kServeClasses == 3,
               "per-class array initializers below assume 3 classes");
+
+/** Watchdog cadence and hysteresis ladder (see the header's file
+ *  comment); only the first rung, watchdogStallPolls, is configurable. */
+constexpr std::uint64_t kWatchdogPollRounds = 256; //!< deterministic
+constexpr unsigned kWatchdogPollYields = 4096;     //!< threaded monitor
+constexpr unsigned kWatchdogMaxRecoveries = 3;     //!< per shard
+constexpr unsigned kWatchdogHysteresisCap = 32;    //!< threshold ceiling
+constexpr unsigned kWatchdogCleanPolls = 16;       //!< polls per ease
 
 /** A request that left the ring, stamped with the shard clock so the
  *  dispatch deadline is measured in shard-local cycles (replayable,
@@ -252,8 +261,8 @@ struct WatchdogMonitor
     poll(std::vector<ShardState> &shards)
     {
         const unsigned cap =
-            cfg_.watchdogHysteresisCap > cfg_.watchdogStallPolls
-                ? cfg_.watchdogHysteresisCap
+            kWatchdogHysteresisCap > cfg_.watchdogStallPolls
+                ? kWatchdogHysteresisCap
                 : cfg_.watchdogStallPolls;
         for (std::size_t i = 0; i < shards.size(); ++i) {
             ShardState &s = shards[i];
@@ -270,7 +279,7 @@ struct WatchdogMonitor
                 w.last = hb;
                 w.frozen = 0;
                 ++w.clean;
-                if (w.clean >= cfg_.watchdogCleanPolls &&
+                if (w.clean >= kWatchdogCleanPolls &&
                     w.threshold > cfg_.watchdogStallPolls) {
                     w.threshold = w.threshold / 2 >
                                           cfg_.watchdogStallPolls
@@ -285,7 +294,7 @@ struct WatchdogMonitor
             ++w.frozen;
             if (w.frozen < w.threshold)
                 continue;
-            if (w.issued >= cfg_.watchdogMaxRecoveries) {
+            if (w.issued >= kWatchdogMaxRecoveries) {
                 error = "watchdog: shard " + std::to_string(i) +
                         " still frozen after " +
                         std::to_string(w.issued) +
@@ -403,8 +412,6 @@ ServeRun::ServeRun(const ServeConfig &cfg)
             cfg.requestsPerProducer,
             (i * stride) % exp_.geometry.rows);
         producers_[i].producerIdx = i;
-        producers_[i].backoff = SpinBackoff(cfg.backoffInitialYields,
-                                            cfg.backoffCapYields);
     }
 }
 
@@ -691,7 +698,7 @@ ServeRun::monitorMain()
         if (allDone)
             return;
         for (unsigned i = 0;
-             i < cfg_.watchdogPollYields &&
+             i < kWatchdogPollYields &&
              !abortRun_.load(std::memory_order_relaxed);
              ++i)
             std::this_thread::yield();
@@ -739,7 +746,7 @@ ServeRun::driveDeterministic()
         if (abortRun_.load(std::memory_order_acquire))
             break;
         if (cfg_.watchdog && round > 0 &&
-            round % cfg_.watchdogPollRounds == 0 && !watch_.poll(shards_)) {
+            round % kWatchdogPollRounds == 0 && !watch_.poll(shards_)) {
             fail(watch_.error);
             break;
         }

@@ -50,11 +50,11 @@
  *    flags a shard whose heartbeat freezes for `watchdogStallPolls`
  *    consecutive polls and posts a recovery request.  A stalled shard
  *    honors it (drain-checkpoint-restart of the stall), the watchdog
- *    doubles that shard's stall threshold (hysteresis, mirroring the
- *    GuardbandManager ladder) and eases it back after
- *    `watchdogCleanPolls` clean polls.  Recoveries are capped at
- *    `watchdogMaxRecoveries` per shard; an exhausted shard fails the
- *    run rather than hang it.
+ *    doubles that shard's stall threshold up to 32 polls (hysteresis,
+ *    mirroring the GuardbandManager ladder) and eases it back one
+ *    halving per 16 clean polls.  Recoveries are capped at 3 per
+ *    shard; an exhausted shard fails the run rather than hang it
+ *    (the kWatchdog* constants in serve_runtime.cc).
  *
  *  - Chaos injection: a ChaosProfile (src/fault/chaos_profile.hh)
  *    schedules producer burst storms, poisoned requests (shed by the
@@ -110,6 +110,10 @@ namespace nuat {
 
 class MetricRegistry;
 
+/** Largest ServeConfig::queueCapacity: slots per shard ingest ring. */
+inline constexpr std::size_t kMaxServeQueueCapacity = std::size_t{1}
+                                                      << 20;
+
 /** What a producer does when a shard's ingest ring is full. */
 enum class AdmissionPolicy
 {
@@ -153,7 +157,8 @@ struct ServeConfig
     /** Trace producer threads (profiles cycle through workloads). */
     unsigned producers = 2;
 
-    /** Slots per shard ingest ring (rounded up to a power of 2). */
+    /** Slots per shard ingest ring, 1..kMaxServeQueueCapacity
+     *  (rounded up to a power of 2, at least 2). */
     std::size_t queueCapacity = 1024;
 
     /** Requests each producer pushes before finishing. */
@@ -164,10 +169,6 @@ struct ServeConfig
 
     /** Full-ring policy (see AdmissionPolicy). */
     AdmissionPolicy admission = AdmissionPolicy::kBlock;
-
-    /** First / maximum pause of the producer SpinBackoff schedule. */
-    unsigned backoffInitialYields = 1;
-    unsigned backoffCapYields = 1024;
 
     /** kBlock: failed push attempts on one request before the
      *  producer declares the ring wedged and fails the run. */
@@ -188,24 +189,9 @@ struct ServeConfig
     /** Stall detection & recovery (see file comment). */
     bool watchdog = true;
 
-    /** Deterministic mode: rounds between inline watchdog polls.
-     *  Threaded mode: the monitor polls every `watchdogPollYields`
-     *  yields instead. */
-    std::uint64_t watchdogPollRounds = 256;
-    unsigned watchdogPollYields = 4096;
-
     /** Consecutive frozen-heartbeat polls before a recovery request
      *  (the initial rung of the hysteresis ladder). */
     unsigned watchdogStallPolls = 4;
-
-    /** Recoveries per shard before the watchdog gives up and fails
-     *  the run. */
-    unsigned watchdogMaxRecoveries = 3;
-
-    /** Ceiling the stall threshold doubles to after a recovery, and
-     *  clean polls required before it eases back one halving. */
-    unsigned watchdogHysteresisCap = 32;
-    unsigned watchdogCleanPolls = 16;
 
     /** Injected serving-layer chaos (default: none). */
     ChaosProfile chaos;

@@ -157,6 +157,16 @@ TEST(ServeRuntime, ValidateRejectsBadConfigs)
     EXPECT_THROW(cfg.validate(), std::logic_error);
 
     cfg = smallConfig();
+    cfg.queueCapacity = 0;
+    EXPECT_THROW(cfg.validate(), std::logic_error);
+
+    cfg = smallConfig();
+    cfg.queueCapacity = kMaxServeQueueCapacity + 1;
+    EXPECT_THROW(cfg.validate(), std::logic_error);
+    cfg.queueCapacity = kMaxServeQueueCapacity;
+    EXPECT_NO_THROW(cfg.validate());
+
+    cfg = smallConfig();
     cfg.chaos.stalls = {{9, 100, 100}}; // shard 9 does not exist
     EXPECT_THROW(cfg.validate(), std::logic_error);
 
