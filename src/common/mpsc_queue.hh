@@ -28,6 +28,7 @@
 #include <thread>
 #include <utility>
 
+#include "logging.hh"
 #include "thread_annotations.hh"
 
 namespace nuat {
@@ -208,6 +209,9 @@ class MpscQueue
     static std::size_t
     roundUpPow2(std::size_t n)
     {
+        // Past the top bit, p <<= 1 would wrap to 0 and never stop.
+        nuat_assert(n <= ~(~std::size_t{0} >> 1),
+                    "(ring capacity %zu has no power-of-two size)", n);
         std::size_t p = 1;
         while (p < n)
             p <<= 1;

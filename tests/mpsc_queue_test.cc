@@ -11,9 +11,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/mpsc_queue.hh"
 
 namespace nuat {
@@ -39,6 +41,17 @@ TEST(MpscQueue, CapacityRoundsUpToPowerOfTwo)
     EXPECT_EQ(MpscQueue<int>(3).capacity(), 4u);
     EXPECT_EQ(MpscQueue<int>(1000).capacity(), 1024u);
     EXPECT_EQ(MpscQueue<int>(1024).capacity(), 1024u);
+}
+
+TEST(MpscQueue, CapacityPastTheTopBitPanicsInsteadOfWrapping)
+{
+    // No power of two in size_t reaches 2^63 + 1: the rounding must
+    // fail loudly, not wrap to 0 and spin forever.
+    setPanicThrows(true);
+    const std::size_t top = ~(~std::size_t{0} >> 1);
+    EXPECT_THROW(MpscQueue<int>(top + 1), std::logic_error);
+    EXPECT_THROW(MpscQueue<int>(~std::size_t{0}), std::logic_error);
+    setPanicThrows(false);
 }
 
 TEST(MpscQueue, FullRingReportsBackpressure)
