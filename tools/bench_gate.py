@@ -226,7 +226,7 @@ def cmd_selftest(args):
         "serve.requests_per_s": 50000.0,
         "serve.shed_ratio_under_storm": 0.01,
         "micro.BM_SystemMemCycle/nuat:1.cpu_ns": 240.0,
-        "micro.BM_SchedulerPick/batch:1/depth:64.cpu_ns": 300.0,
+        "micro.BM_SchedulerPick/depth:64.cpu_ns": 300.0,
     }
     checks = [
         # (candidate overrides, expect_regressions)
@@ -248,9 +248,9 @@ def cmd_selftest(args):
         # Hot-path slowdown must fail.
         ({"micro.BM_SystemMemCycle/nuat:1.cpu_ns": 400.0},
          ["micro.BM_SystemMemCycle/nuat:1.cpu_ns"]),
-        # Batch-scorer slowdown must fail (lower is better).
-        ({"micro.BM_SchedulerPick/batch:1/depth:64.cpu_ns": 500.0},
-         ["micro.BM_SchedulerPick/batch:1/depth:64.cpu_ns"]),
+        # Scoring-core slowdown must fail (lower is better).
+        ({"micro.BM_SchedulerPick/depth:64.cpu_ns": 500.0},
+         ["micro.BM_SchedulerPick/depth:64.cpu_ns"]),
         # Improvements never fail, however large.
         ({"fig20.mcycles_per_s": 300.0,
           "serve.requests_per_s": 500000.0,
