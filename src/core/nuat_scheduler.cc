@@ -219,13 +219,11 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
         in.cmd = c.cmd.type;
         in.isWrite = c.isWrite;
         in.isRowHit = c.isRowHit;
-        in.waitCycles =
-            c.req ? ctx.now - c.req->arrivalAt : Cycle{0};
+        in.waitCycles = c.req ? ctx.now - c.req->arrivalAt : Cycle{0};
         in.draining = draining;
         in.numPb = cfg_.numPb();
         if (c.cmd.type == CmdType::kAct) {
-            const auto &refresh =
-                ctx.dev->refreshFor(c.cmd.rank, c.cmd.bank);
+            const auto &refresh = ctx.dev->refreshFor(c.cmd.rank, c.cmd.bank);
             in.pb = pbr_->pbOfRow(refresh, c.cmd.row);
             in.zone = pbr_->zoneOfRow(refresh, c.cmd.row);
         }

@@ -25,8 +25,7 @@ namespace nuat {
  * hit, oldest arrival), the first one winning a full tie.  Each
  * scheduler then applies its own page policy to the winner.
  */
-int frFcfsRank(const std::vector<Candidate> &candidates,
-               bool prefer_writes);
+int frFcfsRank(const std::vector<Candidate> &candidates, bool prefer_writes);
 
 /** First-ready FCFS with write-drain hysteresis and a page policy. */
 class FrFcfsScheduler : public Scheduler

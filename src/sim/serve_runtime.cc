@@ -71,10 +71,8 @@ ServeConfig::validate() const
                 "(admitCapacity must be positive)");
     nuat_assert(blockPushRounds >= 1 && retryPushRounds >= 1,
                 "(push-round budgets must be positive)");
-    nuat_assert(queueCapacity >= 1 &&
-                    queueCapacity <= kMaxServeQueueCapacity,
-                "(queueCapacity must be in [1, %zu])",
-                kMaxServeQueueCapacity);
+    nuat_assert(queueCapacity >= 1 && queueCapacity <= kMaxServeQueueCapacity,
+                "(queueCapacity must be in [1, %zu])", kMaxServeQueueCapacity);
     nuat_assert(watchdogStallPolls >= 1,
                 "(watchdogStallPolls must be positive)");
     nuat_assert(!experiment.faultsEnabled(),

@@ -111,8 +111,7 @@ namespace nuat {
 class MetricRegistry;
 
 /** Largest ServeConfig::queueCapacity: slots per shard ingest ring. */
-inline constexpr std::size_t kMaxServeQueueCapacity = std::size_t{1}
-                                                      << 20;
+inline constexpr std::size_t kMaxServeQueueCapacity = std::size_t{1} << 20;
 
 /** What a producer does when a shard's ingest ring is full. */
 enum class AdmissionPolicy

@@ -306,8 +306,7 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
                          const std::vector<Candidate> &cands, Cycle now,
                          bool draining, unsigned *boosted,
                          unsigned *tie_breaks) {
-        const double boost =
-            10.0 * (t.weights().w1 + 2.0 * t.weights().w3);
+        const double boost = 10.0 * (t.weights().w1 + 2.0 * t.weights().w3);
         int best = -1;
         double best_score = 0.0;
         Cycle best_arrival = kNeverCycle;
@@ -330,8 +329,7 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
                 s += boost;
                 ++*boosted;
             }
-            const Cycle arrival =
-                c.req ? c.req->arrivalAt : kNeverCycle;
+            const Cycle arrival = c.req ? c.req->arrivalAt : kNeverCycle;
             if (s == best_score && arrival < best_arrival)
                 ++*tie_breaks;
             if (best < 0 || s > best_score ||
@@ -364,33 +362,26 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
                 // Waits straddle the 200-cycle starvation limit.
                 const Cycle arrival = now - rng.below(400);
                 const bool write = rng.chance(0.4);
-                switch (rng.below(4)) {
-                  case 0: {
-                      const std::uint32_t row =
-                          rng.chance(0.5)
-                              ? zoned[rng.below(zoned.size())]
-                              : static_cast<std::uint32_t>(
-                                    rng.below(refresh.rows()));
-                      cands.push_back(
-                          actCand(row, &reqs[i], arrival, write));
-                      break;
-                  }
-                  case 1:
+                const std::uint64_t kind = rng.below(4);
+                if (kind == 0) {
+                    const std::uint32_t row =
+                        rng.chance(0.5)
+                            ? zoned[rng.below(zoned.size())]
+                            : static_cast<std::uint32_t>(
+                                  rng.below(refresh.rows()));
+                    cands.push_back(actCand(row, &reqs[i], arrival, write));
+                } else if (kind == 1) {
                     cands.push_back(
                         colCand(CmdType::kRead, &reqs[i], arrival));
-                    break;
-                  case 2:
+                } else if (kind == 2) {
                     cands.push_back(
                         colCand(CmdType::kWrite, &reqs[i], arrival));
-                    break;
-                  default: {
-                      Candidate c = actCand(0, &reqs[i], arrival, write);
-                      c.cmd.type = CmdType::kPre;
-                      if (rng.chance(0.25))
-                          c.req = nullptr; // no driving request
-                      cands.push_back(c);
-                      break;
-                  }
+                } else {
+                    Candidate c = actCand(0, &reqs[i], arrival, write);
+                    c.cmd.type = CmdType::kPre;
+                    if (rng.chance(0.25))
+                        c.req = nullptr; // no driving request
+                    cands.push_back(c);
                 }
             }
             const std::vector<Candidate> before = cands;
