@@ -151,7 +151,10 @@ class RefreshEngine
     std::uint64_t refreshesDone_ = 0;
     std::uint64_t pulledIn_ = 0;
     std::uint64_t postponed_ = 0;
-    std::vector<std::int64_t> lastRefreshAt_;
+    /** Last-refresh cycle per refresh group: a REF always stamps the
+     *  rowsPerRef rows from nextRow_, a multiple of rowsPerRef, so
+     *  every row of a group shares one stamp. */
+    std::vector<std::int64_t> groupRefreshAt_;
 };
 
 } // namespace nuat
