@@ -2,7 +2,8 @@
  * @file
  * NUAT scheduler tests: command decoration (rated ACT timing, PPM
  * auto-precharge), degenerate-weight equivalences with the classic
- * baselines, and the starvation escape.
+ * baselines, the starvation escape, and pick() against a reference
+ * argmax on random full-weight candidate mixes.
  */
 
 #include <gtest/gtest.h>
@@ -330,7 +331,7 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
                 ++*boosted;
             }
             const Cycle arrival = c.req ? c.req->arrivalAt : kNeverCycle;
-            if (s == best_score && arrival < best_arrival)
+            if (best >= 0 && s == best_score && arrival < best_arrival)
                 ++*tie_breaks;
             if (best < 0 || s > best_score ||
                 (s == best_score && arrival < best_arrival)) {
@@ -364,11 +365,10 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
                 const bool write = rng.chance(0.4);
                 const std::uint64_t kind = rng.below(4);
                 if (kind == 0) {
-                    const std::uint32_t row =
-                        rng.chance(0.5)
-                            ? zoned[rng.below(zoned.size())]
-                            : static_cast<std::uint32_t>(
-                                  rng.below(refresh.rows()));
+                    auto row =
+                        static_cast<std::uint32_t>(rng.below(refresh.rows()));
+                    if (rng.chance(0.5))
+                        row = zoned[rng.below(zoned.size())];
                     cands.push_back(actCand(row, &reqs[i], arrival, write));
                 } else if (kind == 1) {
                     cands.push_back(
@@ -386,9 +386,8 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
             }
             const std::vector<Candidate> before = cands;
             const int got = sched.pick(cands, ctx(now, rng.below(60)));
-            EXPECT_EQ(got, reference(table, before, now,
-                                     sched.draining(), &boosted,
-                                     &tie_breaks))
+            EXPECT_EQ(got, reference(table, before, now, sched.draining(),
+                                     &boosted, &tie_breaks))
                 << "round " << round << " trial " << trial;
         }
     }
