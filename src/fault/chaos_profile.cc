@@ -94,22 +94,22 @@ buildRegistry()
         all.push_back(p);
     }
     {
-        // One effectively permanent stall: shard 0 wedges at its
-        // 20000th step and only a watchdog recovery resumes it.
+        // One stall long enough to fill a 256-slot ring: shard 0
+        // freezes at its 20000th step for 4096 steps, then resumes.
         ChaosProfile p;
         p.name = "shard-stall";
-        p.stalls = {{0, 20000, std::uint64_t{1} << 30}};
+        p.stalls = {{0, 20000, 4096}};
         all.push_back(p);
     }
     {
         // The acceptance scenario: a burst storm, a trickle of
-        // poison, and one wedged shard, all at once.
+        // poison, and one stalled shard, all at once.
         ChaosProfile p;
         p.name = "storm-stall";
         p.burstLen = 512;
         p.burstGap = 4096;
         p.poisonFraction = 0.01;
-        p.stalls = {{0, 20000, std::uint64_t{1} << 30}};
+        p.stalls = {{0, 20000, 4096}};
         all.push_back(p);
     }
     for (const ChaosProfile &p : all)

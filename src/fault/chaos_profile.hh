@@ -7,10 +7,11 @@
  * excursions, refresh disturbances), a ChaosProfile describes
  * *service* hazards one layer up: producer burst storms that overload
  * the ingest rings, poisoned (malformed) requests that must be shed
- * instead of dispatched, and scheduled shard stalls that the watchdog
- * has to detect and recover from.  Profiles come from a small built-in
- * library (resolveChaosProfile("storm-stall"), ...) or from a
- * key=value file (nuat_serve --chaos-profile=path/to/profile.conf).
+ * instead of dispatched, and scheduled shard stalls that back up a
+ * shard's ingest ring while it makes no progress (a stall longer than
+ * the watchdog's window fails the run).  Profiles come from a small
+ * built-in library (resolveChaosProfile("storm-stall"), ...) or from
+ * a key=value file (nuat_serve --chaos-profile=path/to/profile.conf).
  *
  * Like FaultProfile, the profile holds no randomness: the only drawn
  * decision (whether a request is poisoned) is a stateless hash of
@@ -30,8 +31,7 @@
 namespace nuat {
 
 /** One scheduled shard stall: from its @p atStep-th step on, shard
- *  @p shard stops making progress for @p forSteps wait iterations —
- *  or until the watchdog recovers it, whichever comes first. */
+ *  @p shard stops making progress for @p forSteps wait iterations. */
 struct ChaosStall
 {
     unsigned shard = 0;

@@ -252,10 +252,7 @@ serveResultToJson(const ServeResult &r)
     o.add("max_shard_cycles", num(r.maxShardCycles));
     o.add("total_shard_cycles", num(r.totalShardCycles));
     o.add("avg_read_latency", num(r.avgReadLatency));
-    o.add("watchdog_recoveries", num(r.watchdogRecoveries));
-    o.add("watchdog_ease_steps", num(r.watchdogEaseSteps));
     o.add("shard_retired", o.list(r.shardRetired, count));
-    o.add("shard_recoveries", o.list(r.shardRecoveries, count));
     o.add("classes", o.list(r.classes, [&o](const ServeClassStats &c) {
         const RunningStat &lat = c.readLatency.summary();
         return o.child()

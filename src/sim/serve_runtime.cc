@@ -59,11 +59,13 @@ serveExperiment(const ServeConfig &cfg)
 void
 ServeConfig::validate() const
 {
-    nuat_assert(shards >= 1, "(serve needs at least one shard)");
+    nuat_assert(shards >= 1 && shards <= kMaxServeShards,
+                "(shards must be in [1, %u])", kMaxServeShards);
     nuat_assert((shards & (shards - 1)) == 0,
                 "(shards are address-mapping channels and must be a "
                 "power of two)");
-    nuat_assert(producers >= 1, "(serve needs at least one producer)");
+    nuat_assert(producers >= 1 && producers <= kMaxServeProducers,
+                "(producers must be in [1, %u])", kMaxServeProducers);
     nuat_assert(requestsPerProducer >= 1,
                 "(each producer must push at least one request)");
     nuat_assert(ingestBatch >= 1, "(ingestBatch must be positive)");
@@ -102,13 +104,9 @@ namespace {
 static_assert(kServeClasses == 3,
               "per-class array initializers below assume 3 classes");
 
-/** Watchdog cadence and hysteresis ladder (see the header's file
- *  comment); only the first rung, watchdogStallPolls, is configurable. */
+/** Watchdog poll cadence (see the header's file comment). */
 constexpr std::uint64_t kWatchdogPollRounds = 256; //!< deterministic
 constexpr unsigned kWatchdogPollYields = 4096;     //!< threaded monitor
-constexpr unsigned kWatchdogMaxRecoveries = 3;     //!< per shard
-constexpr unsigned kWatchdogHysteresisCap = 32;    //!< threshold ceiling
-constexpr unsigned kWatchdogCleanPolls = 16;       //!< polls per ease
 
 /** A request that left the ring, stamped with the shard clock so the
  *  dispatch deadline is measured in shard-local cycles (replayable,
@@ -126,9 +124,8 @@ struct AdmittedReq
  * non-atomic state needs locks.  `confined` asserts exactly that in
  * debug builds: the shard thread adopts the state on its first loop
  * iteration, and any off-thread touch before the join panics.  Shared
- * pieces: `ring` (the MPSC hand-off point) and the three annotated
- * atomics the watchdog protocol rides on — everything else is
- * shard-confined.
+ * pieces: `ring` (the MPSC hand-off point) and the two annotated
+ * atomics the watchdog reads — everything else is shard-confined.
  */
 struct ShardState
 {
@@ -159,17 +156,12 @@ struct ShardState
     std::size_t nextStall = 0;
     std::uint64_t stallRemaining = 0;
 
-    std::uint64_t steps = 0;      //!< healthy step count
-    std::uint64_t recoveries = 0; //!< watchdog recoveries honored
+    std::uint64_t steps = 0; //!< steps taken outside a stall
 
     std::atomic<std::uint64_t> heartbeat NUAT_LOCK_FREE(
-        "progress gauge: relaxed-stored by the shard every healthy "
-        "step, relaxed-loaded by the watchdog; freshness, not "
+        "progress gauge: relaxed-stored by the shard every step it is "
+        "not stalled, relaxed-loaded by the watchdog; freshness, not "
         "ordering, is what the poll needs"){0};
-    std::atomic<bool> recoverReq NUAT_LOCK_FREE(
-        "release-stored true by the watchdog, acquire-loaded by the "
-        "shard; the shard relaxed-clears it (no data rides on the "
-        "clear)"){false};
     std::atomic<bool> done NUAT_LOCK_FREE(
         "release-stored by the shard when its loop exits; the "
         "watchdog acquire-loads it to stop polling a finished "
@@ -224,96 +216,12 @@ enum class ProducerOutcome
     kGap,      //!< burst-storm gap: one paced step without pushing
 };
 
-/**
- * Watchdog bookkeeping: one rung ladder per shard, mirroring the
- * GuardbandManager hysteresis — a recovery doubles the shard's stall
- * threshold up to a cap, sustained clean polls ease it back one
- * halving at a time.  Owned by the monitor thread (threaded mode) or
- * the driver loop (deterministic mode); read by the merge code only
- * after the join.
- */
-struct WatchdogMonitor
+/** The watchdog's view of one shard, owned by the monitor thread
+ *  (threaded mode) or the driver loop (deterministic mode). */
+struct WatchdogView
 {
-    struct PerShard
-    {
-        std::uint64_t last = 0; //!< heartbeat seen at the last poll
-        unsigned frozen = 0;    //!< consecutive frozen polls
-        unsigned threshold = 0; //!< current stall rung (hysteresis)
-        unsigned clean = 0;     //!< consecutive healthy polls
-        unsigned issued = 0;    //!< recovery requests posted
-    };
-
-    WatchdogMonitor(const ServeConfig &cfg, std::size_t n)
-        : cfg_(cfg), perShard_(n)
-    {
-        for (PerShard &w : perShard_)
-            w.threshold = cfg.watchdogStallPolls;
-    }
-
-    /**
-     * One poll over every live shard.  Posts recovery requests for
-     * frozen heartbeats; @return false (and sets `error`) when a
-     * shard has exhausted its recovery budget and is still frozen.
-     */
-    bool
-    poll(std::vector<ShardState> &shards)
-    {
-        const unsigned cap =
-            kWatchdogHysteresisCap > cfg_.watchdogStallPolls
-                ? kWatchdogHysteresisCap
-                : cfg_.watchdogStallPolls;
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            ShardState &s = shards[i];
-            PerShard &w = perShard_[i];
-            // acquire: a finished shard's final counters
-            // happen-before this observation.
-            if (s.done.load(std::memory_order_acquire))
-                continue;
-            // relaxed: the heartbeat is a progress gauge; a stale
-            // read only delays detection by one poll.
-            const std::uint64_t hb =
-                s.heartbeat.load(std::memory_order_relaxed);
-            if (hb != w.last) {
-                w.last = hb;
-                w.frozen = 0;
-                ++w.clean;
-                if (w.clean >= kWatchdogCleanPolls &&
-                    w.threshold > cfg_.watchdogStallPolls) {
-                    w.threshold = w.threshold / 2 >
-                                          cfg_.watchdogStallPolls
-                                      ? w.threshold / 2
-                                      : cfg_.watchdogStallPolls;
-                    ++easeSteps;
-                    w.clean = 0;
-                }
-                continue;
-            }
-            w.clean = 0;
-            ++w.frozen;
-            if (w.frozen < w.threshold)
-                continue;
-            if (w.issued >= kWatchdogMaxRecoveries) {
-                error = "watchdog: shard " + std::to_string(i) +
-                        " still frozen after " +
-                        std::to_string(w.issued) +
-                        " recoveries; giving up";
-                return false;
-            }
-            // release: the recovery request must not be reordered
-            // ahead of the poll state that justified it.
-            s.recoverReq.store(true, std::memory_order_release);
-            ++w.issued;
-            w.frozen = 0;
-            w.threshold = w.threshold * 2 > cap ? cap
-                                                : w.threshold * 2;
-        }
-        return true;
-    }
-
-    const ServeConfig &cfg_;
-    std::vector<PerShard> perShard_;
-    std::uint64_t easeSteps = 0;
-    std::string error;
+    std::uint64_t last = 0;   //!< heartbeat seen at the last poll
+    unsigned frozenPolls = 0; //!< consecutive polls without advance
 };
 
 /** Pushes a producer attempts per deterministic round outside bursts
@@ -340,6 +248,7 @@ class ServeRun
     void producerMain(ProducerState &p);
     StepOutcome shardStep(ShardState &s);
     void shardMain(ShardState &s);
+    bool pollWatchdog();
     void monitorMain();
 
     /** Record @p msg and make every worker unwind. */
@@ -351,7 +260,7 @@ class ServeRun
     const AddressMapping mapping_;
     std::vector<ShardState> shards_;
     std::vector<ProducerState> producers_;
-    WatchdogMonitor watch_;
+    std::vector<WatchdogView> watch_;
 
     std::atomic<bool> producersDone_ NUAT_LOCK_FREE(
         "release-stored once every producer has finished (after the "
@@ -359,8 +268,8 @@ class ServeRun
         "ring re-check observes the last push"){false};
     std::atomic<bool> abortRun_ NUAT_LOCK_FREE(
         "release-stored by whichever worker fails the run (wedged "
-        "ring, exhausted watchdog); every loop acquire-loads it to "
-        "unwind promptly"){false};
+        "ring, frozen shard); every loop acquire-loads it to unwind "
+        "promptly"){false};
 
     Mutex errorsMu_;
     std::vector<std::string> errors_ NUAT_GUARDED_BY(errorsMu_);
@@ -369,8 +278,7 @@ class ServeRun
 ServeRun::ServeRun(const ServeConfig &cfg)
     : cfg_(cfg), exp_(serveExperiment(cfg)),
       mapping_(exp_.controller.mapping, exp_.geometry),
-      shards_(cfg.shards), producers_(cfg.producers),
-      watch_(cfg, cfg.shards)
+      shards_(cfg.shards), producers_(cfg.producers), watch_(cfg.shards)
 {
     // Build every shard stack on this thread; shard threads take over
     // after launch.
@@ -572,22 +480,10 @@ ServeRun::shardStep(ShardState &s)
     }
     if (s.stallRemaining > 0) {
         // Stalled: no heartbeat, no work — the watchdog sees the
-        // frozen counter.  Honoring a recovery request restarts the
-        // step loop; the ring, admitted stage and controller are their
-        // own checkpoint (nothing is lost), which is what makes
-        // conservation provable across recoveries.
-        if (s.recoverReq.load(std::memory_order_acquire)) {
-            s.recoverReq.store(false, std::memory_order_relaxed);
-            s.stallRemaining = 0;
-            ++s.recoveries;
-        } else {
-            --s.stallRemaining;
-            return StepOutcome::kStalled;
-        }
-    } else if (s.recoverReq.load(std::memory_order_relaxed)) {
-        // Watchdog misfire on a healthy-but-descheduled shard: clear
-        // the request without counting a recovery.
-        s.recoverReq.store(false, std::memory_order_relaxed);
+        // frozen counter.  The ring, admitted stage and controller keep
+        // their contents, so a stall delays requests but loses none.
+        --s.stallRemaining;
+        return StepOutcome::kStalled;
     }
     ++s.steps;
     // relaxed: freshness is all the watchdog needs (see decl).
@@ -684,6 +580,37 @@ ServeRun::shardMain(ShardState &s)
     s.done.store(true, std::memory_order_release);
 }
 
+/**
+ * One watchdog poll over every live shard.  @return false, having
+ * failed the run, when a shard's heartbeat has not advanced for
+ * watchdogStallPolls consecutive polls.
+ */
+bool
+ServeRun::pollWatchdog()
+{
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+        const ShardState &s = shards_[i];
+        WatchdogView &w = watch_[i];
+        // acquire: a finished shard's final counters happen-before
+        // this observation.
+        if (s.done.load(std::memory_order_acquire))
+            continue;
+        // relaxed: the heartbeat is a progress gauge; a stale read
+        // only delays detection by one poll.
+        const std::uint64_t hb = s.heartbeat.load(std::memory_order_relaxed);
+        if (hb != w.last) {
+            w.last = hb;
+            w.frozenPolls = 0;
+        } else if (++w.frozenPolls >= cfg_.watchdogStallPolls) {
+            fail("watchdog: shard " + std::to_string(i) +
+                 " made no progress for " +
+                 std::to_string(w.frozenPolls) + " polls");
+            return false;
+        }
+    }
+    return true;
+}
+
 void
 ServeRun::monitorMain()
 {
@@ -700,10 +627,8 @@ ServeRun::monitorMain()
              !abortRun_.load(std::memory_order_relaxed);
              ++i)
             std::this_thread::yield();
-        if (!watch_.poll(shards_)) {
-            fail(watch_.error);
+        if (!pollWatchdog())
             return;
-        }
     }
 }
 
@@ -743,11 +668,9 @@ ServeRun::driveDeterministic()
         }
         if (abortRun_.load(std::memory_order_acquire))
             break;
-        if (cfg_.watchdog && round > 0 &&
-            round % kWatchdogPollRounds == 0 && !watch_.poll(shards_)) {
-            fail(watch_.error);
+        if (round > 0 && round % kWatchdogPollRounds == 0 &&
+            !pollWatchdog())
             break;
-        }
         if (allProducersFinished && allShardsDone)
             break;
     }
@@ -761,9 +684,7 @@ ServeRun::driveThreaded()
     for (auto &s : shards_)
         pool.emplace_back([this, &s] { shardMain(s); });
 
-    std::thread monitor;
-    if (cfg_.watchdog)
-        monitor = std::thread([this] { monitorMain(); });
+    std::thread monitor([this] { monitorMain(); });
 
     std::vector<std::thread> feeders;
     feeders.reserve(producers_.size());
@@ -776,8 +697,7 @@ ServeRun::driveThreaded()
     producersDone_.store(true, std::memory_order_release);
     for (auto &t : pool)
         t.join();
-    if (monitor.joinable())
-        monitor.join();
+    monitor.join();
 }
 
 ServeResult
@@ -808,8 +728,6 @@ ServeRun::merge()
         res.readsRetired += s.readsDone;
         res.writesRetired += s.writes;
         res.shardRetired.push_back(s.readsDone + s.writes);
-        res.shardRecoveries.push_back(s.recoveries);
-        res.watchdogRecoveries += s.recoveries;
         if (s.now > res.maxShardCycles)
             res.maxShardCycles = s.now;
         res.totalShardCycles += s.now;
@@ -827,7 +745,6 @@ ServeRun::merge()
         res.shedTimeout += c.shedTimeout;
         res.shedPoison += c.shedPoison;
     }
-    res.watchdogEaseSteps = watch_.easeSteps;
     res.requestsRetired = res.readsRetired + res.writesRetired;
     res.avgReadLatency = totals.ctrl.avgReadLatency();
     {
@@ -894,12 +811,6 @@ publishServeMetrics(const ServeResult &res, MetricRegistry &registry)
          &res.backpressureYields},
         {"backoff_rounds", "producer SpinBackoff pauses",
          &res.backoffRounds},
-        {"watchdog_recoveries",
-         "shard recoveries honored after a watchdog request",
-         &res.watchdogRecoveries},
-        {"watchdog_ease_steps",
-         "hysteresis easings after sustained clean polls",
-         &res.watchdogEaseSteps},
     };
     for (const Count &c : totals)
         publish("serve.", c);

@@ -22,8 +22,8 @@
  * advances its own cycle counter only while it has work; shard clocks
  * are never compared or synchronized.  Nothing is shared
  * between shard threads but the ingest rings and a handful of
- * annotated atomics (producers-done flag, per-shard heartbeat /
- * recovery-request words), which keeps the runtime TSan-clean by
+ * annotated atomics (producers-done flag, per-shard heartbeat and
+ * done words), which keeps the runtime TSan-clean by
  * construction.  The confinement is enforced twice over: debug builds
  * assert the owner thread on every shard/producer loop entry
  * (ThreadConfined, common/thread_annotations.hh — the controller and
@@ -45,16 +45,13 @@
  *    `deadlineCycles` before dispatch, the shard sheds it as timed out
  *    (shard-local cycles, never wall-clock, so timeouts replay).
  *
- *  - Watchdog: shards publish a heartbeat step counter; a monitor
- *    (thread in threaded mode, inline poll in deterministic mode)
- *    flags a shard whose heartbeat freezes for `watchdogStallPolls`
- *    consecutive polls and posts a recovery request.  A stalled shard
- *    honors it (drain-checkpoint-restart of the stall), the watchdog
- *    doubles that shard's stall threshold up to 32 polls (hysteresis,
- *    mirroring the GuardbandManager ladder) and eases it back one
- *    halving per 16 clean polls.  Recoveries are capped at 3 per
- *    shard; an exhausted shard fails the run rather than hang it
- *    (the kWatchdog* constants in serve_runtime.cc).
+ *  - Watchdog: shards publish a heartbeat step counter on every step
+ *    they are not stalled, idle ones included; a monitor (thread in
+ *    threaded mode, inline poll in deterministic mode) fails the run
+ *    when a live shard's heartbeat does not advance for
+ *    `watchdogStallPolls` consecutive polls.  A frozen shard fails
+ *    loudly instead of hanging; a scheduled chaos stall shorter than
+ *    that window simply runs its course.
  *
  *  - Chaos injection: a ChaosProfile (src/fault/chaos_profile.hh)
  *    schedules producer burst storms, poisoned requests (shed by the
@@ -77,7 +74,7 @@
  * calling thread as a cooperative round-robin (each round: one round
  * of producer steps per producer — up to its push budget, ending at a
  * failed push — one step per shard, periodic inline watchdog poll), so
- * every counter — sheds, timeouts, recoveries, latencies — is
+ * every counter — sheds, timeouts, latencies — is
  * byte-identical across runs with the same (config, profile, seed).
  * Threaded mode keeps the conservation invariant but interleaving-
  * dependent counters (which class got shed, cycle counts) may vary.
@@ -89,7 +86,7 @@
  * This file is simulation-hosted infrastructure but spawns threads;
  * like parallel_runner it must not read wall-clock time (nuat-lint
  * `nondeterminism`, and `fault-determinism` covers this file's chaos
- * and recovery paths) — requests/sec is computed by the nuat_serve
+ * and watchdog paths) — requests/sec is computed by the nuat_serve
  * tool.
  */
 
@@ -112,6 +109,10 @@ class MetricRegistry;
 
 /** Largest ServeConfig::queueCapacity: slots per shard ingest ring. */
 inline constexpr std::size_t kMaxServeQueueCapacity = std::size_t{1} << 20;
+
+/** Largest ServeConfig::shards and ::producers: one thread each. */
+inline constexpr unsigned kMaxServeShards = 1u << 12;
+inline constexpr unsigned kMaxServeProducers = 1u << 12;
 
 /** What a producer does when a shard's ingest ring is full. */
 enum class AdmissionPolicy
@@ -150,10 +151,12 @@ struct ServeConfig
      */
     ExperimentConfig experiment;
 
-    /** Independently-clocked channel/controller instances (threads). */
+    /** Independently-clocked channel/controller instances (threads),
+     *  a power of two up to kMaxServeShards. */
     unsigned shards = 2;
 
-    /** Trace producer threads (profiles cycle through workloads). */
+    /** Trace producer threads (profiles cycle through workloads),
+     *  1..kMaxServeProducers. */
     unsigned producers = 2;
 
     /** Slots per shard ingest ring, 1..kMaxServeQueueCapacity
@@ -185,12 +188,9 @@ struct ServeConfig
      *  deadlines are enforced on). */
     std::size_t admitCapacity = 256;
 
-    /** Stall detection & recovery (see file comment). */
-    bool watchdog = true;
-
-    /** Consecutive frozen-heartbeat polls before a recovery request
-     *  (the initial rung of the hysteresis ladder). */
-    unsigned watchdogStallPolls = 4;
+    /** Consecutive polls without a heartbeat advance after which the
+     *  watchdog fails the run (see file comment). */
+    unsigned watchdogStallPolls = 64;
 
     /** Injected serving-layer chaos (default: none). */
     ChaosProfile chaos;
@@ -277,15 +277,8 @@ struct ServeResult
     /** Requests retired per shard (balance check). */
     std::vector<std::uint64_t> shardRetired;
 
-    /** Watchdog recoveries honored per shard. */
-    std::vector<std::uint64_t> shardRecoveries;
-
     /** Per-priority-class accounting (index = class). */
     std::array<ServeClassStats, kServeClasses> classes;
-
-    /** Total honored watchdog recoveries / hysteresis easings. */
-    std::uint64_t watchdogRecoveries = 0;
-    std::uint64_t watchdogEaseSteps = 0;
 
     /** Mean read latency over all shards [memory cycles]. */
     double avgReadLatency = 0.0;
@@ -302,7 +295,7 @@ struct ServeResult
     std::string chaos = "none";
 
     /** True when the run terminated abnormally (wedged ring under
-     *  kBlock, watchdog exhausted, deterministic round cap). */
+     *  kBlock, frozen shard, deterministic round cap). */
     bool failed = false;
 
     /** One line per abnormal-termination cause. */

@@ -4,8 +4,8 @@
  *
  *   nuat_serve [options]     (usage() below lists every flag)
  *
- * Exit codes: 0 ok, 1 runtime failure (wedged ring, watchdog
- * exhausted, cycle cap, broken conservation), 2 audit violations,
+ * Exit codes: 0 ok, 1 runtime failure (wedged ring, frozen shard,
+ * cycle cap, broken conservation), 2 audit violations,
  * 64 bad command line (EX_USAGE), 65 malformed workload or chaos
  * profile (EX_DATAERR, with a one-line file:line diagnostic).
  *
@@ -75,9 +75,8 @@ usage()
         "storm-stall | key=value file\n"
         "  --deterministic     single-threaded cooperative execution: "
         "byte-identical counters per (profile, seed)\n"
-        "  --no-watchdog       disable shard stall detection/recovery\n"
-        "  --watchdog-polls N  frozen polls before a recovery (default "
-        "4)\n"
+        "  --watchdog-polls N  polls without shard progress before the "
+        "run fails (default 64)\n"
         "  --metrics-out f     serve.* metrics as one JSONL record\n"
         "  --audit             shadow auditor per shard (exit 2 on "
         "violations)\n"
@@ -170,8 +169,6 @@ main(int argc, char **argv)
             chaosArg = value();
         } else if (arg == "--deterministic") {
             cfg.deterministic = true;
-        } else if (arg == "--no-watchdog") {
-            cfg.watchdog = false;
         } else if (arg == "--watchdog-polls") {
             cfg.watchdogStallPolls = parseCount<unsigned>(kTool, arg, value());
         } else if (arg == "--metrics-out") {
@@ -279,12 +276,6 @@ main(int argc, char **argv)
                             k, u(c.produced), u(c.retired),
                             u(c.shedTotal()));
             }
-        }
-        if (res.watchdogRecoveries || res.watchdogEaseSteps) {
-            std::printf("serve: watchdog recovered %llu stall(s), eased "
-                        "%llu time(s)\n",
-                        u(res.watchdogRecoveries),
-                        u(res.watchdogEaseSteps));
         }
         for (std::size_t s = 0; s < res.shardRetired.size(); ++s) {
             std::printf("serve:   shard %zu retired %llu\n", s,
