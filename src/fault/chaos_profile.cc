@@ -1,11 +1,10 @@
 #include "chaos_profile.hh"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "common/logging.hh"
+#include "profile_file.hh"
 
 namespace nuat {
 
@@ -124,41 +123,6 @@ registry()
     return all;
 }
 
-/** Strip leading/trailing whitespace in place; returns the result. */
-std::string
-trimmed(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-double
-parseDouble(const std::string &path, int line, const std::string &v)
-{
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        nuat_fatal("%s:%d: expected a number, got '%s'", path.c_str(),
-                   line, v.c_str());
-    return d;
-}
-
-std::uint64_t
-parseU64(const std::string &path, int line, const std::string &v)
-{
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        nuat_fatal("%s:%d: expected an unsigned integer, got '%s'",
-                   path.c_str(), line, v.c_str());
-    return u;
-}
-
 } // namespace
 
 std::vector<std::string>
@@ -182,62 +146,23 @@ findChaosProfile(const std::string &name)
 ChaosProfile
 loadChaosProfileFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        nuat_fatal("cannot open chaos profile '%s'", path.c_str());
-
     ChaosProfile p;
     p.name = path;
-    char buf[512];
-    int lineNo = 0;
-    while (std::fgets(buf, sizeof(buf), f)) {
-        ++lineNo;
-        std::string line{buf};
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        line = trimmed(line);
-        if (line.empty())
-            continue;
-
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            std::fclose(f);
-            nuat_fatal("%s:%d: expected 'key = value', got '%s'",
-                       path.c_str(), lineNo, line.c_str());
-        }
-        const std::string key = trimmed(line.substr(0, eq));
-        const std::string val = trimmed(line.substr(eq + 1));
-        if (key.empty() || val.empty()) {
-            std::fclose(f);
-            nuat_fatal("%s:%d: empty key or value in '%s'",
-                       path.c_str(), lineNo, line.c_str());
-        }
-
-        if (key == "burst_len") {
-            p.burstLen = parseU64(path, lineNo, val);
-        } else if (key == "burst_gap") {
-            p.burstGap = parseU64(path, lineNo, val);
-        } else if (key == "poison_fraction") {
-            p.poisonFraction = parseDouble(path, lineNo, val);
-        } else if (key == "stall") {
-            // stall = <shard> <atStep> <forSteps>
-            unsigned long long shard = 0, at = 0, len = 0;
-            if (std::sscanf(val.c_str(), "%llu %llu %llu", &shard, &at,
-                            &len) != 3) {
-                std::fclose(f);
-                nuat_fatal("%s:%d: stall needs '<shard> <atStep> "
-                           "<forSteps>', got '%s'",
-                           path.c_str(), lineNo, val.c_str());
-            }
-            p.stalls.push_back({static_cast<unsigned>(shard), at, len});
+    readProfileFile(path, "chaos profile", [&p](const ProfileEntry &e) {
+        if (e.key == "burst_len") {
+            p.burstLen = e.count(e.value);
+        } else if (e.key == "burst_gap") {
+            p.burstGap = e.count(e.value);
+        } else if (e.key == "poison_fraction") {
+            p.poisonFraction = e.real(e.value);
+        } else if (e.key == "stall") {
+            const auto f = e.fields(3, "<shard> <atStep> <forSteps>");
+            p.stalls.push_back(
+                {e.count<unsigned>(f[0]), e.count(f[1]), e.count(f[2])});
         } else {
-            std::fclose(f);
-            nuat_fatal("%s:%d: unknown chaos profile key '%s'",
-                       path.c_str(), lineNo, key.c_str());
+            e.fail("unknown chaos profile key '" + e.key + "'");
         }
-    }
-    std::fclose(f);
+    });
     p.validate();
     return p;
 }

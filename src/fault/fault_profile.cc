@@ -1,10 +1,7 @@
 #include "fault_profile.hh"
 
-#include <cctype>
-#include <cstdio>
-#include <cstring>
-
 #include "common/logging.hh"
+#include "profile_file.hh"
 
 namespace nuat {
 
@@ -144,124 +141,42 @@ findFaultProfile(const std::string &name)
     return nullptr;
 }
 
-namespace {
-
-/** Strip leading/trailing whitespace in place; returns the result. */
-std::string
-trimmed(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-double
-parseDouble(const std::string &path, int line, const std::string &v)
-{
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        nuat_fatal("%s:%d: expected a number, got '%s'", path.c_str(),
-                   line, v.c_str());
-    return d;
-}
-
-std::uint64_t
-parseU64(const std::string &path, int line, const std::string &v)
-{
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        nuat_fatal("%s:%d: expected an unsigned integer, got '%s'",
-                   path.c_str(), line, v.c_str());
-    return u;
-}
-
-} // namespace
-
 FaultProfile
 loadFaultProfileFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        nuat_fatal("cannot open fault profile '%s'", path.c_str());
-
     FaultProfile p;
     p.name = path;
-    char buf[512];
-    int lineNo = 0;
-    while (std::fgets(buf, sizeof(buf), f)) {
-        ++lineNo;
-        std::string line{buf};
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        line = trimmed(line);
-        if (line.empty())
-            continue;
-
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            std::fclose(f);
-            nuat_fatal("%s:%d: expected 'key = value', got '%s'",
-                       path.c_str(), lineNo, line.c_str());
-        }
-        const std::string key = trimmed(line.substr(0, eq));
-        const std::string val = trimmed(line.substr(eq + 1));
-        if (key.empty() || val.empty()) {
-            std::fclose(f);
-            nuat_fatal("%s:%d: empty key or value in '%s'",
-                       path.c_str(), lineNo, line.c_str());
-        }
-
-        if (key == "name") {
-            p.name = val;
-        } else if (key == "weak_fraction") {
-            p.weakFraction = parseDouble(path, lineNo, val);
-        } else if (key == "weak_mult_min") {
-            p.weakMultMin = parseDouble(path, lineNo, val);
-        } else if (key == "weak_mult_max") {
-            p.weakMultMax = parseDouble(path, lineNo, val);
-        } else if (key == "vrt_fraction") {
-            p.vrtFraction = parseDouble(path, lineNo, val);
-        } else if (key == "vrt_mult") {
-            p.vrtMult = parseDouble(path, lineNo, val);
-        } else if (key == "vrt_period_cycles") {
-            p.vrtPeriod = parseU64(path, lineNo, val);
-        } else if (key == "temp_step") {
-            char *end = nullptr;
-            const unsigned long long at =
-                std::strtoull(val.c_str(), &end, 10);
-            if (end == val.c_str()) {
-                std::fclose(f);
-                nuat_fatal(
-                    "%s:%d: temp_step wants '<atCycle> <scale>', "
-                    "got '%s'",
-                    path.c_str(), lineNo, val.c_str());
-            }
-            const std::string rest = trimmed(std::string{end});
-            p.tempSteps.push_back(
-                {Cycle{at}, parseDouble(path, lineNo, rest)});
-        } else if (key == "ref_drop_prob") {
-            p.refDropProb = parseDouble(path, lineNo, val);
-        } else if (key == "ref_delay_prob") {
-            p.refDelayProb = parseDouble(path, lineNo, val);
-        } else if (key == "ref_delay_max_cycles") {
-            p.refDelayMax = parseU64(path, lineNo, val);
-        } else if (key == "ref_burst_max") {
-            p.refBurstMax =
-                static_cast<unsigned>(parseU64(path, lineNo, val));
+    readProfileFile(path, "fault profile", [&p](const ProfileEntry &e) {
+        const std::string &v = e.value;
+        if (e.key == "name") {
+            p.name = v;
+        } else if (e.key == "weak_fraction") {
+            p.weakFraction = e.real(v);
+        } else if (e.key == "weak_mult_min") {
+            p.weakMultMin = e.real(v);
+        } else if (e.key == "weak_mult_max") {
+            p.weakMultMax = e.real(v);
+        } else if (e.key == "vrt_fraction") {
+            p.vrtFraction = e.real(v);
+        } else if (e.key == "vrt_mult") {
+            p.vrtMult = e.real(v);
+        } else if (e.key == "vrt_period_cycles") {
+            p.vrtPeriod = e.count<Cycle>(v);
+        } else if (e.key == "temp_step") {
+            const auto f = e.fields(2, "<atCycle> <scale>");
+            p.tempSteps.push_back({e.count<Cycle>(f[0]), e.real(f[1])});
+        } else if (e.key == "ref_drop_prob") {
+            p.refDropProb = e.real(v);
+        } else if (e.key == "ref_delay_prob") {
+            p.refDelayProb = e.real(v);
+        } else if (e.key == "ref_delay_max_cycles") {
+            p.refDelayMax = e.count<Cycle>(v);
+        } else if (e.key == "ref_burst_max") {
+            p.refBurstMax = e.count<unsigned>(v);
         } else {
-            std::fclose(f);
-            nuat_fatal("%s:%d: unknown fault-profile key '%s'",
-                       path.c_str(), lineNo, key.c_str());
+            e.fail("unknown fault-profile key '" + e.key + "'");
         }
-    }
-    std::fclose(f);
+    });
     p.validate();
     return p;
 }

@@ -121,6 +121,21 @@ TEST(ChaosProfile, MalformedFileDiagnosticsCarryLine)
         EXPECT_THROW(loadChaosProfileFile(f.path()),
                      std::runtime_error);
     }
+    // Numbers follow the command-line rules: digits only, no wrap,
+    // and the value must fit its field (a stall's shard is unsigned).
+    for (const char *bad :
+         {"burst_len = -1\nburst_gap = 10\n", "stall = 0 10 20 junk\n",
+          "stall = 4294967296 10 20\n", "poison_fraction = nan\n"}) {
+        const TempFile f(bad);
+        try {
+            loadChaosProfileFile(f.path());
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(f.path() + ":1:"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_THROW(loadChaosProfileFile("/nonexistent/chaos.conf"),
                  std::runtime_error);
 

@@ -311,6 +311,33 @@ TEST(FaultProfileTest, MalformedLineIsOneDiagnosticWithFileAndLine)
     std::remove(path.c_str());
 }
 
+TEST(FaultProfileTest, NumbersFollowTheCommandLineRules)
+{
+    // Digits only, no wrap, the value fits its field, and reals are
+    // finite and non-negative: each bad value names its line.
+    const std::string path = testing::TempDir() + "fault_numbers.conf";
+    setPanicThrows(true);
+    for (const char *bad :
+         {"vrt_period_cycles = -1", "temp_step = -5 2.0",
+          "temp_step = 5 2.0 7", "ref_burst_max = 4294967296",
+          "weak_fraction = inf", "ref_delay_max_cycles = 12abc"}) {
+        {
+            std::ofstream out(path);
+            out << "# header\n" << bad << "\n";
+        }
+        try {
+            loadFaultProfileFile(path);
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(path + ":2:"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    setPanicThrows(false);
+    std::remove(path.c_str());
+}
+
 TEST(FaultProfileTest, UnknownNameAndMissingFileIsFatal)
 {
     setPanicThrows(true);

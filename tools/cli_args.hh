@@ -6,8 +6,6 @@
 #ifndef NUAT_TOOLS_CLI_ARGS_HH
 #define NUAT_TOOLS_CLI_ARGS_HH
 
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +13,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "common/parse_number.hh"
 
 namespace nuat::cli {
 
@@ -50,11 +50,8 @@ T
 parseCount(const Tool &tool, const std::string &flag, const char *v)
 {
     static_assert(std::is_unsigned_v<T>);
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long u = std::strtoull(v, &end, 10);
-    if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE ||
-        u > std::numeric_limits<T>::max())
+    std::uint64_t u = 0;
+    if (!parseStrictCount(v, std::numeric_limits<T>::max(), &u))
         badValue(tool, flag, "an unsigned integer", v);
     return static_cast<T>(u);
 }
@@ -63,9 +60,8 @@ parseCount(const Tool &tool, const std::string &flag, const char *v)
 inline double
 parseReal(const Tool &tool, const std::string &flag, const char *v)
 {
-    char *end = nullptr;
-    const double d = std::strtod(v, &end);
-    if (end == v || *end != '\0' || !std::isfinite(d) || d < 0.0)
+    double d = 0.0;
+    if (!parseStrictReal(v, &d))
         badValue(tool, flag, "a non-negative number", v);
     return d;
 }
