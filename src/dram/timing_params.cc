@@ -40,6 +40,8 @@ void
 DramGeometry::validate() const
 {
     nuat_assert(channels > 0 && ranks > 0 && banks > 0);
+    nuat_assert(channels <= kMaxChannels, "(channels must be at most %u)",
+                kMaxChannels);
     nuat_assert(isPowerOfTwo(channels) && isPowerOfTwo(ranks));
     nuat_assert(isPowerOfTwo(banks));
     nuat_assert(isPowerOfTwo(rows) && isPowerOfTwo(columns));

@@ -119,10 +119,14 @@ struct TimingParams
     void validate() const;
 };
 
+/** Largest DramGeometry::channels: each channel is a full controller
+ *  and device stack, so the count sizes the run's memory. */
+inline constexpr unsigned kMaxChannels = 1u << 16;
+
 /** Device geometry (paper Table 3: 1 ch / 1 rank / 8 banks / 8K x 1K). */
 struct DramGeometry
 {
-    unsigned channels = 1;      //!< independent channels
+    unsigned channels = 1;      //!< independent channels, <= kMaxChannels
     unsigned ranks = 1;         //!< ranks per channel
     unsigned banks = 8;         //!< banks per rank
     std::uint32_t rows = 8192;  //!< rows per bank

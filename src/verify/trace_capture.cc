@@ -6,6 +6,7 @@
 
 #include "charge/cell_model.hh"
 #include "charge/sense_amp_model.hh"
+#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace nuat {
@@ -215,6 +216,12 @@ replayCommandTrace(const std::string &path, std::size_t max_messages)
     }
     if (!saw_end || channels == 0) {
         result.error = "truncated header";
+        return result;
+    }
+    if (!isPowerOfTwo(channels) || channels > kMaxChannels) {
+        result.error = "channels " + std::to_string(channels) +
+                       " is not a power of two in [1, " +
+                       std::to_string(kMaxChannels) + "]";
         return result;
     }
 

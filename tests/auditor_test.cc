@@ -703,6 +703,25 @@ TEST(AuditorTest, TraceRoundTripPreservesVerdict)
     std::remove(path.c_str());
 }
 
+TEST(AuditorTest, ReplayRejectsChannelCountsNoRunProduces)
+{
+    // A run's channel count is a power of two within kMaxChannels; any
+    // other header value is refused before an auditor is built.
+    const std::string path = testing::TempDir() + "auditor_channels.trace";
+    for (const char *channels : {"3", "4000000000"}) {
+        {
+            std::ofstream out(path);
+            out << "nuat-cmd-trace v1\nchannels " << channels
+                << "\nend-header\n";
+        }
+        const TraceReplayResult res = replayCommandTrace(path);
+        EXPECT_FALSE(res.parsed) << channels;
+        EXPECT_NE(res.error.find("power of two"), std::string::npos)
+            << res.error;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(AuditorTest, ReplayRejectsGarbage)
 {
     const std::string path = testing::TempDir() + "auditor_garbage.trace";

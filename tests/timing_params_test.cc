@@ -95,6 +95,17 @@ TEST_F(TimingParamsValidate, RefreshMustNotSaturateTheDevice)
     EXPECT_THROW(tp_.validate(), std::logic_error);
 }
 
+TEST_F(TimingParamsValidate, GeometryChannelsAreBounded)
+{
+    // Every channel is a full controller and device stack, so the
+    // count that sizes a run's memory has a ceiling.
+    DramGeometry geom;
+    geom.channels = kMaxChannels;
+    EXPECT_NO_THROW(geom.validate());
+    geom.channels = kMaxChannels * 2;
+    EXPECT_THROW(geom.validate(), std::logic_error);
+}
+
 // --- documented ns <-> default cycle agreement --------------------------
 
 // Each activation-path default carries a datasheet comment in

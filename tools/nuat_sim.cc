@@ -140,11 +140,20 @@ reportAudit(const RunResult &r)
     return r.auditViolations != 0;
 }
 
-/** --replay-trace: re-audit a captured command trace, no simulator. */
+/** --replay-trace: re-audit a captured command trace, no simulator.
+ *  A header the auditor cannot model fails the replay like a
+ *  malformed line: one diagnostic, exit 1. */
 int
 replayTrace(const std::string &path)
 {
-    const TraceReplayResult res = replayCommandTrace(path);
+    TraceReplayResult res;
+    setPanicThrows(true);
+    try {
+        res = replayCommandTrace(path);
+    } catch (const std::exception &e) {
+        res.error = e.what();
+    }
+    setPanicThrows(false);
     if (!res.parsed)
         nuat_fatal("replay failed: %s", res.error.c_str());
     std::printf("replayed %llu commands over %u channel(s): "
