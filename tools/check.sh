@@ -37,11 +37,12 @@
 #          (every built-in chaos profile x every admission policy, each
 #          cell run twice under --audit).  Each cell must be
 #          violation-free, conserve requests per priority class, and
-#          produce byte-identical counters across the two runs; the
-#          storm-stall cells must additionally report at least one
-#          watchdog recovery.  A chaos-off control run (nothing shed,
-#          produced == retired) and a bad-config check (--pb 0 must
-#          exit 64) close the lane.  See ROBUSTNESS.md.
+#          produce byte-identical counters across the two runs.  A
+#          profile file whose stall never ends must fail the run with
+#          the watchdog's line, deterministic and threaded.  A
+#          chaos-off control run (nothing shed, produced == retired)
+#          and a bad-config check (--pb 0 must exit 64) close the
+#          lane.  See ROBUSTNESS.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -228,11 +229,8 @@ for i, c in enumerate(a["classes"]):
     if c["produced"] != c["retired"] + c["shed"]:
         sys.exit("class %d conservation broken under %s/%s"
                  % (i, profile, policy))
-if profile == "storm-stall" and a["watchdog_recoveries"] < 1:
-    sys.exit("storm-stall/%s run recovered no shard" % policy)
-print("    ok: produced=%d retired=%d shed=%d recoveries=%d"
-      % (a["produced"], a["retired"], a["shed_total"],
-         a["watchdog_recoveries"]))
+print("    ok: produced=%d retired=%d shed=%d"
+      % (a["produced"], a["retired"], a["shed_total"]))
 PY
     }
 
@@ -246,6 +244,28 @@ PY
     done
 
     echo
+    echo "=== Frozen shard (the watchdog must fail the run, not hang) ==="
+    # A stall far longer than the watchdog's window: each mode must
+    # exit 1 with the watchdog's one-line diagnostic.
+    frozen=$(mktemp)
+    trap 'rm -f "$frozen"' EXIT
+    echo "stall = 0 100 1073741824" >"$frozen"
+    for mode in deterministic threaded; do
+        args=(--chaos-profile "$frozen" --shards 2 --producers 2
+              --requests 5000 --queue-capacity 256)
+        if [[ "$mode" == "deterministic" ]]; then
+            args+=(--deterministic)
+        fi
+        status=0
+        err=$("$serve" "${args[@]}" 2>&1 >/dev/null) || status=$?
+        if [[ "$status" != "1" || "$err" != *"watchdog: shard 0"* ]]; then
+            echo "error: $mode frozen-shard run exited $status: $err" >&2
+            exit 1
+        fi
+        echo "    ok ($mode): $err"
+    done
+
+    echo
     echo "=== Chaos-off control (resilience layer must be invisible) ==="
     "$serve" --deterministic --audit --json --shards 2 --producers 2 \
              --requests 5000 --queue-capacity 256 |
@@ -253,7 +273,6 @@ PY
 import json, sys
 d = json.load(sys.stdin)
 assert d["shed_total"] == 0, "clean run shed requests"
-assert d["watchdog_recoveries"] == 0, "clean run recovered"
 assert d["produced"] == d["retired"], "clean run lost requests"
 assert d["audit_violations"] == 0, "clean run had violations"
 print("    ok: produced=%d retired=%d" % (d["produced"], d["retired"]))

@@ -29,7 +29,7 @@ ever runs:
                      no iteration over unordered containers (iteration
                      order would leak into stats).
   fault-determinism  the fault-injection subsystem (``src/fault/``)
-                     and the serve runtime's chaos/recovery paths
+                     and the serve runtime's chaos and watchdog paths
                      (``src/sim/serve_runtime.*``) must be a *pure
                      function* of (profile, seed, coordinates): no
                      ``std::rand``/``srand``/libc RNG, no ``<random>``
@@ -40,7 +40,7 @@ ever runs:
                      per-row/per-REF draws from a stateless hash of
                      (seed, salt, coordinates) instead.  Wall-clock
                      sleeps (``sleep_for``/``sleep_until``) are banned
-                     too: backoff and recovery cadence must be
+                     too: backoff and watchdog cadence must be
                      iteration-count based.
   shared-mutable-static
                      no non-const ``static`` data in the simulation
@@ -506,12 +506,12 @@ def check_nondeterminism(relpath, text, stripped):
 # draws happened before it, or fingerprint replay and golden snapshots
 # fall apart the first time someone reorders two calls.
 #
-# The serve runtime's chaos/recovery paths (src/sim/serve_runtime.*)
+# The serve runtime's chaos and watchdog paths (src/sim/serve_runtime.*)
 # carry the same contract: backoff schedules, watchdog decisions and
 # chaos injection must be pure functions of iteration counts and the
 # (profile, seed) hash — no RNG, and no wall-clock sleeps either
 # (std::this_thread::yield is fine; sleep_for smuggles wall time into
-# the recovery cadence).
+# the watchdog cadence).
 FAULT_BANNED_CALL_RE = re.compile(
     r"(?<![\w.])(?:std::)?(?:rand|srand|rand_r|drand48|lrand48|random)\s*\("
     r"|std::random_device|std::mt19937\w*|std::default_random_engine"
@@ -987,7 +987,7 @@ double leakDraw()
 }
 """,
     ),
-    # The serve runtime's chaos/recovery paths carry the same
+    # The serve runtime's chaos and watchdog paths carry the same
     # determinism contract as src/fault/ (see FAULT_DETERMINISM_PATHS):
     # no RNG in backoff/watchdog decisions, and no wall-clock sleeps.
     "fault-determinism#serve": (
