@@ -1,9 +1,7 @@
 /**
  * @file
- * The strict number rules every text input shares: command-line flags
- * (tools/cli_args.hh) and profile files (fault/profile_file.hh).  A
- * count is decimal digits only and must fit its field; a real must be
- * finite and non-negative.
+ * The strict number rules shared by command-line flags
+ * (tools/cli_args.hh) and profile files (fault/profile_file.hh).
  */
 
 #ifndef NUAT_COMMON_PARSE_NUMBER_HH
@@ -16,35 +14,26 @@
 
 namespace nuat {
 
-/**
- * Parse @p text as a count no larger than @p max: decimal digits only
- * (no sign, no blanks), no wrap.  @return false on anything else.
- */
+/** Parse @p text as a count no larger than @p max: decimal digits
+ *  only, no wrap.  @return false on anything else. */
 inline bool
 parseStrictCount(const char *text, std::uint64_t max, std::uint64_t *out)
 {
-    if (*text < '0' || *text > '9')
-        return false;
     char *end = nullptr;
     errno = 0;
-    const unsigned long long u = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE || u > max)
-        return false;
-    *out = u;
-    return true;
+    *out = std::strtoull(text, &end, 10);
+    return *text >= '0' && *text <= '9' && *end == '\0' &&
+           errno != ERANGE && *out <= max;
 }
 
-/** Parse @p text as a finite, non-negative real.  @return false on
- *  anything else. */
+/** Parse @p text as a finite, non-negative real; false otherwise. */
 inline bool
 parseStrictReal(const char *text, double *out)
 {
     char *end = nullptr;
-    const double d = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(d) || d < 0.0)
-        return false;
-    *out = d;
-    return true;
+    *out = std::strtod(text, &end);
+    return end != text && *end == '\0' && std::isfinite(*out) &&
+           *out >= 0.0;
 }
 
 } // namespace nuat

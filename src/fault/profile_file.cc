@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/parse_number.hh"
 
 namespace nuat {
 
@@ -36,16 +35,6 @@ ProfileEntry::fields(std::size_t n, const char *shape) const
     if (out.size() != n)
         fail(key + " wants '" + shape + "', got '" + value + "'");
     return out;
-}
-
-std::uint64_t
-ProfileEntry::countUpTo(const std::string &text, std::uint64_t max) const
-{
-    std::uint64_t u = 0;
-    if (!parseStrictCount(text.c_str(), max, &u))
-        fail("expected an unsigned integer in [0, " + std::to_string(max) +
-             "], got '" + text + "'");
-    return u;
 }
 
 double

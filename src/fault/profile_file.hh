@@ -1,12 +1,9 @@
 /**
  * @file
  * The strict `key = value` reader behind the fault- and chaos-profile
- * file loaders.
- *
- * A profile file holds one `key = value` entry per line; '#' starts a
- * comment and blank lines are skipped.  Numbers follow the
- * command-line rules (common/parse_number.hh), and every malformed
- * line or value is fatal with one `path:line` diagnostic.
+ * file loaders: '#' starts a comment, blank lines are skipped, numbers
+ * follow the command-line rules (common/parse_number.hh), and every
+ * malformed line or value is fatal with one `path:line` diagnostic.
  */
 
 #ifndef NUAT_FAULT_PROFILE_FILE_HH
@@ -18,14 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hh"
+
 namespace nuat {
 
-/** One `key = value` entry of a profile file, with the parsers for
- *  its value.  Each parser is fatal on a bad value. */
+/** One `key = value` entry of a profile file and the parsers for its
+ *  value, each fatal on a bad value. */
 struct ProfileEntry
 {
-    const std::string &path; //!< the file, for diagnostics
-    int line = 0;            //!< 1-based line number
+    const std::string &path;
+    int line = 0;
     std::string key;
     std::string value;
 
@@ -38,8 +37,12 @@ struct ProfileEntry
     T
     count(const std::string &text) const
     {
-        return static_cast<T>(
-            countUpTo(text, std::numeric_limits<T>::max()));
+        const std::uint64_t max = std::numeric_limits<T>::max();
+        std::uint64_t u = 0;
+        if (!parseStrictCount(text.c_str(), max, &u))
+            fail("expected an unsigned integer in [0, " +
+                 std::to_string(max) + "], got '" + text + "'");
+        return static_cast<T>(u);
     }
 
     /** @p text as a finite, non-negative real. */
@@ -47,18 +50,10 @@ struct ProfileEntry
 
     /** Fatal "path:line: @p what". */
     [[noreturn]] void fail(const std::string &what) const;
-
-  private:
-    std::uint64_t countUpTo(const std::string &text,
-                            std::uint64_t max) const;
 };
 
-/**
- * Read the profile file at @p path and hand each entry to @p apply in
- * file order; @p apply rejects unknown keys with ProfileEntry::fail.
- * @p kind names the file in the cannot-open diagnostic ("chaos
- * profile").
- */
+/** Hand each entry of the profile file at @p path to @p apply, in file
+ *  order; @p kind names the file if it cannot be opened. */
 void readProfileFile(const std::string &path, const char *kind,
                      const std::function<void(const ProfileEntry &)> &apply);
 

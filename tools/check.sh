@@ -245,23 +245,18 @@ PY
 
     echo
     echo "=== Frozen shard (the watchdog must fail the run, not hang) ==="
-    # A stall far longer than the watchdog's window: each mode must
+    # A stall far longer than the watchdog's window: both modes must
     # exit 1 with the watchdog's one-line diagnostic.
     frozen=$(mktemp)
     trap 'rm -f "$frozen"' EXIT
     echo "stall = 0 100 1073741824" >"$frozen"
     for mode in deterministic threaded; do
-        args=(--chaos-profile "$frozen" --shards 2 --producers 2
-              --requests 5000 --queue-capacity 256)
-        if [[ "$mode" == "deterministic" ]]; then
-            args+=(--deterministic)
-        fi
+        args=(--chaos-profile "$frozen" --requests 5000 --queue-capacity 256)
+        [[ "$mode" == threaded ]] || args+=(--deterministic)
         status=0
         err=$("$serve" "${args[@]}" 2>&1 >/dev/null) || status=$?
-        if [[ "$status" != "1" || "$err" != *"watchdog: shard 0"* ]]; then
-            echo "error: $mode frozen-shard run exited $status: $err" >&2
-            exit 1
-        fi
+        [[ "$status" == "1" && "$err" == *"watchdog: shard 0"* ]] ||
+            { echo "error: $mode frozen run exited $status: $err" >&2; exit 1; }
         echo "    ok ($mode): $err"
     done
 

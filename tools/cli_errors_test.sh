@@ -19,42 +19,42 @@ trap 'rm -rf "$tmp"' EXIT
 missing=/nonexistent-dir/out
 fails=0
 
-# expect_at CODE WHERE ARGS...: the run exits CODE, and its stderr
-# contains WHERE unless that is empty.
-expect_at() {
-    local want="$1" at="$2"
-    shift 2
+expect() {
+    local want="$1"
+    shift
     timeout 20 "$bin" "$@" >"$tmp/stdout" 2>"$tmp/stderr"
     local got=$?
     local lines
     lines=$(wc -l <"$tmp/stderr")
     if [[ "$got" != "$want" ]]; then
         echo "FAIL  exit $got, want $want: $tool $*"
+        sed 's/^/      /' "$tmp/stderr" | tail -3
+        fails=$((fails + 1))
     elif [[ "$want" != 0 && "$want" != 3 && "$lines" != 1 ]]; then
         echo "FAIL  $lines stderr lines, want 1: $tool $*"
-    elif [[ -n "$at" ]] && ! grep -qF -- "$at" "$tmp/stderr"; then
-        echo "FAIL  diagnostic does not name '$at': $tool $*"
+        sed 's/^/      /' "$tmp/stderr" | tail -3
+        fails=$((fails + 1))
     else
         echo "PASS  exit $got: $tool $*"
-        return
     fi
-    sed 's/^/      /' "$tmp/stderr" | tail -3
+}
+
+# names TEXT: the last run's diagnostic contains TEXT.
+names() {
+    grep -qF -- "$1" "$tmp/stderr" && return
+    echo "FAIL  diagnostic does not name '$1'"
     fails=$((fails + 1))
 }
 
-expect() {
-    expect_at "$1" "" "${@:2}"
-}
-
 # bad_profile CODE FLAG LINE...: a profile file whose last line holds
-# a bad value must fail with CODE and name that path:line.
+# a bad value fails with CODE, naming that path:line.
 bad_profile() {
     local want="$1" flag="$2"
     shift 2
     printf '%s\n' "$@" >"$tmp/profile.conf"
     echo "      profile line $#: ${!#}"
-    expect_at "$want" "$tmp/profile.conf:$#:" "$flag" "$tmp/profile.conf" \
-        "${small[@]}"
+    expect "$want" "$flag" "$tmp/profile.conf" "${small[@]}"
+    names "$tmp/profile.conf:$#:"
 }
 
 case "$tool" in
@@ -87,7 +87,8 @@ case "$tool" in
                 's/^channels .*/channels 4000000000/'; do
         sed "$edit" "$tmp/good.trc" >"$tmp/bad.trc"
         echo "      header edit: $edit"
-        expect_at 1 "replay failed" --replay-trace "$tmp/bad.trc"
+        expect 1 --replay-trace "$tmp/bad.trc"
+        names "replay failed"
     done
     ;;
   nuat_serve)
