@@ -104,7 +104,9 @@ namespace {
 static_assert(kServeClasses == 3,
               "per-class array initializers below assume 3 classes");
 
-/** Watchdog poll cadence (see the header's file comment). */
+/** Watchdog poll cadence (see the header's file comment).  A poll
+ *  counts against a shard only once it has taken kWatchdogPollRounds
+ *  steps since the last poll that did: every deterministic poll does. */
 constexpr std::uint64_t kWatchdogPollRounds = 256; //!< deterministic
 constexpr unsigned kWatchdogPollYields = 4096;     //!< threaded monitor
 
@@ -124,7 +126,7 @@ struct AdmittedReq
  * non-atomic state needs locks.  `confined` asserts exactly that in
  * debug builds: the shard thread adopts the state on its first loop
  * iteration, and any off-thread touch before the join panics.  Shared
- * pieces: `ring` (the MPSC hand-off point) and the two annotated
+ * pieces: `ring` (the MPSC hand-off point) and the three annotated
  * atomics the watchdog reads — everything else is shard-confined.
  */
 struct ShardState
@@ -157,11 +159,16 @@ struct ShardState
     std::uint64_t stallRemaining = 0;
 
     std::uint64_t steps = 0; //!< steps taken outside a stall
+    std::uint64_t taken = 0; //!< every step, stalled ones included
 
     std::atomic<std::uint64_t> heartbeat NUAT_LOCK_FREE(
         "progress gauge: relaxed-stored by the shard every step it is "
         "not stalled, relaxed-loaded by the watchdog; freshness, not "
         "ordering, is what the poll needs"){0};
+    std::atomic<std::uint64_t> pulse NUAT_LOCK_FREE(
+        "liveness gauge: relaxed-stored with `taken` by the shard on "
+        "every step, relaxed-loaded by the watchdog like the "
+        "heartbeat"){0};
     std::atomic<bool> done NUAT_LOCK_FREE(
         "release-stored by the shard when its loop exits; the "
         "watchdog acquire-loads it to stop polling a finished "
@@ -221,7 +228,8 @@ enum class ProducerOutcome
 struct WatchdogView
 {
     std::uint64_t last = 0;   //!< heartbeat seen at the last poll
-    unsigned frozenPolls = 0; //!< consecutive polls without advance
+    std::uint64_t mark = 0;   //!< pulse when a poll last counted
+    unsigned frozenPolls = 0; //!< counted polls without an advance
 };
 
 /** Pushes a producer attempts per deterministic round outside bursts
@@ -248,7 +256,7 @@ class ServeRun
     void producerMain(ProducerState &p);
     StepOutcome shardStep(ShardState &s);
     void shardMain(ShardState &s);
-    bool pollWatchdog();
+    void pollWatchdog();
     void monitorMain();
 
     /** Record @p msg and make every worker unwind. */
@@ -472,6 +480,8 @@ ServeRun::shardStep(ShardState &s)
     // only the merge code) may touch the shard stack.
     s.confined.assertOwned("ShardState");
     MemoryController &ctrl = *s.stack.controller;
+    // relaxed: freshness is all the watchdog needs (see decl).
+    s.pulse.store(++s.taken, std::memory_order_relaxed);
 
     if (s.stallRemaining == 0 && s.nextStall < s.stalls.size() &&
         s.steps >= s.stalls[s.nextStall].atStep) {
@@ -581,11 +591,11 @@ ServeRun::shardMain(ShardState &s)
 }
 
 /**
- * One watchdog poll over every live shard.  @return false, having
- * failed the run, when a shard's heartbeat has not advanced for
- * watchdogStallPolls consecutive polls.
+ * One watchdog poll over every live shard: fail the run when a shard's
+ * heartbeat has not advanced for watchdogStallPolls consecutive polls
+ * that counted against it.
  */
-bool
+void
 ServeRun::pollWatchdog()
 {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -598,17 +608,23 @@ ServeRun::pollWatchdog()
         // relaxed: the heartbeat is a progress gauge; a stale read
         // only delays detection by one poll.
         const std::uint64_t hb = s.heartbeat.load(std::memory_order_relaxed);
+        const std::uint64_t pulse = s.pulse.load(std::memory_order_relaxed);
         if (hb != w.last) {
             w.last = hb;
+            w.mark = pulse;
             w.frozenPolls = 0;
-        } else if (++w.frozenPolls >= cfg_.watchdogStallPolls) {
-            fail("watchdog: shard " + std::to_string(i) +
-                 " made no progress for " +
-                 std::to_string(w.frozenPolls) + " polls");
-            return false;
+        } else if (pulse - w.mark >= kWatchdogPollRounds) {
+            // The shard ran a poll's worth of steps without progress; a
+            // shard the OS descheduled ran none and is not counted.
+            w.mark = pulse;
+            if (++w.frozenPolls >= cfg_.watchdogStallPolls) {
+                fail("watchdog: shard " + std::to_string(i) +
+                     " made no progress for " +
+                     std::to_string(w.frozenPolls) + " polls");
+                return;
+            }
         }
     }
-    return true;
 }
 
 void
@@ -627,8 +643,7 @@ ServeRun::monitorMain()
              !abortRun_.load(std::memory_order_relaxed);
              ++i)
             std::this_thread::yield();
-        if (!pollWatchdog())
-            return;
+        pollWatchdog();
     }
 }
 
@@ -666,10 +681,9 @@ ServeRun::driveDeterministic()
             else
                 allShardsDone = false;
         }
+        if (round > 0 && round % kWatchdogPollRounds == 0)
+            pollWatchdog();
         if (abortRun_.load(std::memory_order_acquire))
-            break;
-        if (round > 0 && round % kWatchdogPollRounds == 0 &&
-            !pollWatchdog())
             break;
         if (allProducersFinished && allShardsDone)
             break;

@@ -22,8 +22,8 @@
  * advances its own cycle counter only while it has work; shard clocks
  * are never compared or synchronized.  Nothing is shared
  * between shard threads but the ingest rings and a handful of
- * annotated atomics (producers-done flag, per-shard heartbeat and
- * done words), which keeps the runtime TSan-clean by
+ * annotated atomics (producers-done flag, per-shard heartbeat, pulse
+ * and done words), which keeps the runtime TSan-clean by
  * construction.  The confinement is enforced twice over: debug builds
  * assert the owner thread on every shard/producer loop entry
  * (ThreadConfined, common/thread_annotations.hh — the controller and
@@ -46,12 +46,15 @@
  *    (shard-local cycles, never wall-clock, so timeouts replay).
  *
  *  - Watchdog: shards publish a heartbeat step counter on every step
- *    they are not stalled, idle ones included; a monitor (thread in
- *    threaded mode, inline poll in deterministic mode) fails the run
- *    when a live shard's heartbeat does not advance for
- *    `watchdogStallPolls` consecutive polls.  A frozen shard fails
- *    loudly instead of hanging; a scheduled chaos stall shorter than
- *    that window simply runs its course.
+ *    they are not stalled, idle ones included, and a pulse on every
+ *    step; a monitor (thread in threaded mode, inline poll in
+ *    deterministic mode) fails the run when a live shard's heartbeat
+ *    does not advance for `watchdogStallPolls` consecutive polls.  A
+ *    poll counts against a shard only once the shard has taken 256
+ *    steps since the last one that did, so both modes measure the
+ *    window in the shard's own steps and a descheduled shard is never
+ *    blamed.  A frozen shard fails loudly instead of hanging; a
+ *    scheduled chaos stall shorter than the window runs its course.
  *
  *  - Chaos injection: a ChaosProfile (src/fault/chaos_profile.hh)
  *    schedules producer burst storms, poisoned requests (shed by the
@@ -189,7 +192,8 @@ struct ServeConfig
     std::size_t admitCapacity = 256;
 
     /** Consecutive polls without a heartbeat advance after which the
-     *  watchdog fails the run (see file comment). */
+     *  watchdog fails the run (see file comment); 64 polls are 16384
+     *  shard steps, four times the built-in chaos stalls. */
     unsigned watchdogStallPolls = 64;
 
     /** Injected serving-layer chaos (default: none). */
