@@ -1,7 +1,7 @@
 /**
  * @file
  * The strict number rules shared by command-line flags
- * (tools/cli_args.hh) and profile files (fault/profile_file.hh).
+ * (tools/cli_args.hh) and profile files (fault/fault_profile.hh).
  */
 
 #ifndef NUAT_COMMON_PARSE_NUMBER_HH

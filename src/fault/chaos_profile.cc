@@ -4,7 +4,7 @@
 #include <map>
 
 #include "common/logging.hh"
-#include "profile_file.hh"
+#include "fault_profile.hh"
 
 namespace nuat {
 

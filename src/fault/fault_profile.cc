@@ -1,7 +1,10 @@
 #include "fault_profile.hh"
 
+#include <cctype>
+#include <fstream>
+#include <sstream>
+
 #include "common/logging.hh"
-#include "profile_file.hh"
 
 namespace nuat {
 
@@ -187,6 +190,74 @@ resolveFaultProfile(const std::string &nameOrPath)
     if (const FaultProfile *p = findFaultProfile(nameOrPath))
         return *p;
     return loadFaultProfileFile(nameOrPath);
+}
+
+namespace {
+
+/** @p s without leading and trailing whitespace. */
+std::string
+trimmed(const std::string &s)
+{
+    std::size_t b = 0;
+    std::size_t e = s.size();
+    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+        ++b;
+    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+        --e;
+    return s.substr(b, e - b);
+}
+
+} // namespace
+
+std::vector<std::string>
+ProfileEntry::fields(std::size_t n, const char *shape) const
+{
+    std::istringstream in(value);
+    std::vector<std::string> out;
+    for (std::string f; in >> f;)
+        out.push_back(f);
+    if (out.size() != n)
+        fail(key + " wants '" + shape + "', got '" + value + "'");
+    return out;
+}
+
+double
+ProfileEntry::real(const std::string &text) const
+{
+    double d = 0.0;
+    if (!parseStrictReal(text.c_str(), &d))
+        fail("expected a non-negative number, got '" + text + "'");
+    return d;
+}
+
+void
+ProfileEntry::fail(const std::string &what) const
+{
+    nuat_fatal("%s:%d: %s", path.c_str(), line, what.c_str());
+}
+
+void
+readProfileFile(const std::string &path, const char *kind,
+                const std::function<void(const ProfileEntry &)> &apply)
+{
+    std::ifstream in(path);
+    if (!in)
+        nuat_fatal("cannot open %s '%s'", kind, path.c_str());
+    std::string text;
+    for (int lineNo = 1; std::getline(in, text); ++lineNo) {
+        text = trimmed(text.substr(0, text.find('#')));
+        if (text.empty())
+            continue;
+        ProfileEntry e{path, lineNo, {}, {}};
+        const std::size_t eq = text.find('=');
+        if (eq == std::string::npos)
+            e.fail("expected 'key = value', got '" + text + "'");
+        e.key = trimmed(text.substr(0, eq));
+        e.value = trimmed(text.substr(eq + 1));
+        if (e.key.empty() || e.value.empty())
+            e.fail("empty key or value in '" + text + "'");
+        apply(e);
+    }
 }
 
 } // namespace nuat

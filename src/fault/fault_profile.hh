@@ -7,17 +7,22 @@
  * temperature steps, variable-retention-time (VRT) rows, and
  * refresh-side disturbances.  Profiles come from a small built-in
  * library (resolveFaultProfile("weak-cells"), ...) or from a key=value
- * file (nuat_sim --fault-profile=path/to/profile.conf).  The profile
- * itself holds no randomness: FaultModel expands it deterministically
- * from the experiment seed.  See ROBUSTNESS.md.
+ * file (nuat_sim --fault-profile=path/to/profile.conf), read by
+ * readProfileFile(), the strict reader chaos-profile files share.  The
+ * profile itself holds no randomness: FaultModel expands it
+ * deterministically from the experiment seed.  See ROBUSTNESS.md.
  */
 
 #ifndef NUAT_FAULT_FAULT_PROFILE_HH
 #define NUAT_FAULT_FAULT_PROFILE_HH
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hh"
 #include "common/types.hh"
 
 namespace nuat {
@@ -85,6 +90,50 @@ FaultProfile loadFaultProfileFile(const std::string &path);
  * profile file path.  The result is validated.
  */
 FaultProfile resolveFaultProfile(const std::string &nameOrPath);
+
+/** One `key = value` entry of a fault- or chaos-profile file and the
+ *  parsers for its value.  Numbers follow the command-line rules
+ *  (common/parse_number.hh); each parser is fatal on a bad value with
+ *  a `path:line` diagnostic. */
+struct ProfileEntry
+{
+    const std::string &path;
+    int line = 0;
+    std::string key;
+    std::string value;
+
+    /** The value as exactly @p n blank-separated fields; @p shape
+     *  names them in the diagnostic ("<atCycle> <scale>"). */
+    std::vector<std::string> fields(std::size_t n, const char *shape) const;
+
+    /** @p text as a decimal count that fits T. */
+    template <typename T = std::uint64_t>
+    T
+    count(const std::string &text) const
+    {
+        const std::uint64_t max = std::numeric_limits<T>::max();
+        std::uint64_t u = 0;
+        if (!parseStrictCount(text.c_str(), max, &u))
+            fail("expected an unsigned integer in [0, " +
+                 std::to_string(max) + "], got '" + text + "'");
+        return static_cast<T>(u);
+    }
+
+    /** @p text as a finite, non-negative real. */
+    double real(const std::string &text) const;
+
+    /** Fatal "path:line: @p what". */
+    [[noreturn]] void fail(const std::string &what) const;
+};
+
+/**
+ * The one reader of fault- and chaos-profile files: '#' starts a
+ * comment, blank lines are skipped, and every other line must be
+ * `key = value`.  Hands each entry to @p apply in file order; @p kind
+ * names the file if it cannot be opened.
+ */
+void readProfileFile(const std::string &path, const char *kind,
+                     const std::function<void(const ProfileEntry &)> &apply);
 
 } // namespace nuat
 

@@ -104,9 +104,8 @@ namespace {
 static_assert(kServeClasses == 3,
               "per-class array initializers below assume 3 classes");
 
-/** Watchdog poll cadence (see the header's file comment).  A poll
- *  counts against a shard only once it has taken kWatchdogPollRounds
- *  steps since the last poll that did: every deterministic poll does. */
+/** Watchdog poll cadence; a poll counts against a shard only after it
+ *  took kWatchdogPollRounds steps (see the header's file comment). */
 constexpr std::uint64_t kWatchdogPollRounds = 256; //!< deterministic
 constexpr unsigned kWatchdogPollYields = 4096;     //!< threaded monitor
 
@@ -209,8 +208,7 @@ enum class StepOutcome
 {
     kDone,     //!< drained and producers finished (or cycle cap)
     kProgress, //!< moved requests or ticked the controller
-    kIdle,     //!< nothing to do yet; waiting on producers
-    kStalled,  //!< chaos stall in effect (no heartbeat)
+    kIdle,     //!< waiting on producers, or in a chaos stall
 };
 
 /** What one producer step did with its in-flight request. */
@@ -493,7 +491,7 @@ ServeRun::shardStep(ShardState &s)
         // frozen counter.  The ring, admitted stage and controller keep
         // their contents, so a stall delays requests but loses none.
         --s.stallRemaining;
-        return StepOutcome::kStalled;
+        return StepOutcome::kIdle;
     }
     ++s.steps;
     // relaxed: freshness is all the watchdog needs (see decl).
@@ -582,7 +580,7 @@ ServeRun::shardMain(ShardState &s)
         const StepOutcome o = shardStep(s);
         if (o == StepOutcome::kDone)
             break;
-        if (o == StepOutcome::kIdle || o == StepOutcome::kStalled)
+        if (o == StepOutcome::kIdle)
             std::this_thread::yield();
     }
     // release: final counters happen-before the watchdog (or the
