@@ -208,7 +208,8 @@ enum class StepOutcome
 {
     kDone,     //!< drained and producers finished (or cycle cap)
     kProgress, //!< moved requests or ticked the controller
-    kIdle,     //!< waiting on producers, or in a chaos stall
+    kIdle,     //!< nothing to do yet; waiting on producers
+    kStalled,  //!< chaos stall in effect (no heartbeat)
 };
 
 /** What one producer step did with its in-flight request. */
@@ -491,7 +492,7 @@ ServeRun::shardStep(ShardState &s)
         // frozen counter.  The ring, admitted stage and controller keep
         // their contents, so a stall delays requests but loses none.
         --s.stallRemaining;
-        return StepOutcome::kIdle;
+        return StepOutcome::kStalled;
     }
     ++s.steps;
     // relaxed: freshness is all the watchdog needs (see decl).
@@ -580,7 +581,7 @@ ServeRun::shardMain(ShardState &s)
         const StepOutcome o = shardStep(s);
         if (o == StepOutcome::kDone)
             break;
-        if (o == StepOutcome::kIdle)
+        if (o == StepOutcome::kIdle || o == StepOutcome::kStalled)
             std::this_thread::yield();
     }
     // release: final counters happen-before the watchdog (or the
