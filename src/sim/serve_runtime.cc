@@ -223,7 +223,7 @@ enum class ProducerOutcome
 };
 
 /** The watchdog's view of one shard, owned by the monitor thread
- *  (threaded mode) or the driver loop (deterministic mode). */
+ *  (threaded mode) or the round-robin loop (deterministic mode). */
 struct WatchdogView
 {
     std::uint64_t last = 0;   //!< heartbeat seen at the last poll
