@@ -36,11 +36,9 @@ class BankState
     /** True when no row is open (precharged or precharging). */
     bool isClosed() const { return openRow_ == kNoRow; }
 
-    /** True when the bank is fully precharged at @p now (REF-ready). */
-    bool prechargedAt(Cycle now) const
-    {
-        return isClosed() && now >= prechargedAt_;
-    }
+    /** Cycle the last precharge completes; a closed bank takes a
+     *  refresh from then on. */
+    Cycle prechargedAt() const { return prechargedAt_; }
 
     /** Earliest cycle an ACT may issue. */
     Cycle actAllowedAt() const { return actAllowedAt_; }

@@ -49,14 +49,12 @@ RankState::RankState(std::uint32_t rows, const TimingParams &tp,
     }
 }
 
-bool
-RankState::fawBlocked(Cycle now, const TimingParams &tp) const
+Cycle
+RankState::fawOpensAt(const TimingParams &tp) const
 {
-    if (actWindow.size() < 4)
-        return false;
     // actWindow holds the last 4 ACT times (oldest first): a fifth ACT
     // must wait until the oldest leaves the tFAW window.
-    return now < actWindow.front() + tp.tFAW;
+    return actWindow.size() < 4 ? 0 : actWindow.front() + tp.tFAW;
 }
 
 void
@@ -138,18 +136,6 @@ DramDevice::nextRefreshDueAt(RankId rank_idx) const
 }
 
 bool
-DramDevice::refreshDue(Cycle now) const
-{
-    for (const auto &r : ranks_) {
-        for (const auto &eng : r.engines) {
-            if (eng.due(now))
-                return true;
-        }
-    }
-    return false;
-}
-
-bool
 DramDevice::refsbInFlight(Cycle now) const
 {
     for (const auto &r : ranks_) {
@@ -200,92 +186,78 @@ DramDevice::attachFaultModel(FaultModel *faults)
     faults_ = faults;
 }
 
-bool
-DramDevice::canIssueAct(const Command &cmd, Cycle now) const
-{
-    const RankState &r = ranks_[cmd.rank.value()];
-    const BankState &b = r.banks[cmd.bank.value()];
-    const BankGroupId g = geom_.bankGroupOf(cmd.bank);
-    return b.isClosed() && now >= b.actAllowedAt() &&
-           now >= r.actAllowedAt &&
-           now >= r.groupActAllowedAt[g.value()] &&
-           now >= r.refBusyUntil &&
-           now >= r.refsbBusyUntil[cmd.bank.value()] &&
-           !r.fawBlocked(now, tp_);
-}
-
-bool
-DramDevice::canIssueRef(const Command &cmd, Cycle now) const
-{
-    if (tp_.refreshMode != RefreshMode::kAllBank)
-        return false; // per-bank devices retire refresh via REFsb
-    const RankState &r = ranks_[cmd.rank.value()];
-    if (now < r.refBusyUntil)
-        return false;
-    for (const auto &b : r.banks) {
-        if (!b.prechargedAt(now))
-            return false;
-    }
-    return true;
-}
-
-bool
-DramDevice::canIssueRefsb(const Command &cmd, Cycle now) const
-{
-    if (tp_.refreshMode != RefreshMode::kPerBank)
-        return false;
-    const RankState &r = ranks_[cmd.rank.value()];
-    if (!r.banks[cmd.bank.value()].prechargedAt(now))
-        return false;
-    if (now < r.refsbBusyUntil[cmd.bank.value()])
-        return false;
-    // Same-rank spacing between consecutive REFsb commands.
-    return r.lastRefsbAt == kNeverCycle ||
-           now >= r.lastRefsbAt + tp_.tREFSBRD;
-}
-
-bool
-DramDevice::canIssue(const Command &cmd, Cycle now) const
+Cycle
+DramDevice::earliestIssueAt(const Command &cmd) const
 {
     nuat_assert(cmd.rank.value() < ranks_.size());
     nuat_assert(cmd.type == CmdType::kRef ||
                 cmd.bank.value() < geom_.banks);
+    const RankState &r = ranks_[cmd.rank.value()];
 
     // Command bus: one command per cycle.
-    if (lastCmdAt_ != kNeverCycle && now <= lastCmdAt_)
-        return false;
+    const Cycle bus = lastCmdAt_ == kNeverCycle ? 0 : lastCmdAt_ + 1;
 
-    const RankState &r = ranks_[cmd.rank.value()];
-    const BankState &b =
-        r.banks[cmd.type == CmdType::kRef ? 0 : cmd.bank.value()];
-    const BankGroupId g = geom_.bankGroupOf(
-        cmd.type == CmdType::kRef ? BankId{0} : cmd.bank);
+    if (cmd.type == CmdType::kRef) {
+        if (tp_.refreshMode != RefreshMode::kAllBank)
+            return kNeverCycle; // per-bank devices retire refresh via REFsb
+        Cycle at = std::max(bus, r.refBusyUntil);
+        for (const BankState &b : r.banks) {
+            if (!b.isClosed())
+                return kNeverCycle;
+            at = std::max(at, b.prechargedAt());
+        }
+        return at;
+    }
+
+    const BankState &b = r.banks[cmd.bank.value()];
+    const std::size_t g = geom_.bankGroupOf(cmd.bank).value();
+    // A burst from another rank must leave the tRTRS bus-ownership gap
+    // after the last one; its data starts @p latency after the command.
+    auto rankSwitchAt = [&](Cycle latency) -> Cycle {
+        if (cmd.rank == lastDataRank_)
+            return 0;
+        const Cycle free_at = lastDataEndAt_ + tp_.tRTRS;
+        return free_at > latency ? free_at - latency : 0;
+    };
 
     switch (cmd.type) {
       case CmdType::kAct:
-        return canIssueAct(cmd, now);
+        if (!b.isClosed())
+            return kNeverCycle;
+        return std::max({bus, b.actAllowedAt(), r.actAllowedAt,
+                         r.groupActAllowedAt[g], r.refBusyUntil,
+                         r.refsbBusyUntil[cmd.bank.value()],
+                         r.fawOpensAt(tp_)});
       case CmdType::kPre:
-        return !b.isClosed() && now >= b.preAllowedAt();
+        if (b.isClosed())
+            return kNeverCycle;
+        return std::max(bus, b.preAllowedAt());
       case CmdType::kRead:
       case CmdType::kReadAp:
-        return !b.isClosed() && now >= b.rdAllowedAt() &&
-               now >= rdIssueOkAt_ &&
-               now >= r.groupRdIssueOkAt[g.value()] &&
-               (cmd.rank == lastDataRank_ ||
-                now + tp_.tCL >= lastDataEndAt_ + tp_.tRTRS);
+        if (b.isClosed())
+            return kNeverCycle;
+        return std::max({bus, b.rdAllowedAt(), rdIssueOkAt_,
+                         r.groupRdIssueOkAt[g], rankSwitchAt(tp_.tCL)});
       case CmdType::kWrite:
       case CmdType::kWriteAp:
-        return !b.isClosed() && now >= b.wrAllowedAt() &&
-               now >= wrIssueOkAt_ &&
-               now >= r.groupWrIssueOkAt[g.value()] &&
-               (cmd.rank == lastDataRank_ ||
-                now + tp_.tCWL >= lastDataEndAt_ + tp_.tRTRS);
+        if (b.isClosed())
+            return kNeverCycle;
+        return std::max({bus, b.wrAllowedAt(), wrIssueOkAt_,
+                         r.groupWrIssueOkAt[g], rankSwitchAt(tp_.tCWL)});
+      case CmdType::kRefsb: {
+        if (tp_.refreshMode != RefreshMode::kPerBank || !b.isClosed())
+            return kNeverCycle;
+        const Cycle at = std::max({bus, b.prechargedAt(),
+                                   r.refsbBusyUntil[cmd.bank.value()]});
+        // Same-rank spacing between consecutive REFsb commands.
+        return r.lastRefsbAt == kNeverCycle
+                   ? at
+                   : std::max(at, r.lastRefsbAt + tp_.tREFSBRD);
+      }
       case CmdType::kRef:
-        return canIssueRef(cmd, now);
-      case CmdType::kRefsb:
-        return canIssueRefsb(cmd, now);
+        break; // handled above
     }
-    return false;
+    return kNeverCycle;
 }
 
 void

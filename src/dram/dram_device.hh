@@ -38,10 +38,9 @@ class RankState
 {
   public:
     /**
-     * @param rows      rows per bank
-     * @param tp        timing parameters (incl. refreshMode)
-     * @param num_banks banks in this rank
-     * @param geom      geometry (bank-group dimension)
+     * @param rows rows per bank
+     * @param tp   timing parameters (incl. refreshMode)
+     * @param geom geometry (banks and bank groups)
      */
     RankState(std::uint32_t rows, const TimingParams &tp,
               const DramGeometry &geom);
@@ -88,8 +87,8 @@ class RankState
     /** Issue times of recent ACTs, for the four-activate window. */
     std::deque<Cycle> actWindow;
 
-    /** True when an ACT at @p now would violate tFAW. */
-    bool fawBlocked(Cycle now, const TimingParams &tp) const;
+    /** Earliest cycle a further ACT keeps within tFAW. */
+    Cycle fawOpensAt(const TimingParams &tp) const;
 
     /** Record an ACT at @p now for tRRD / tFAW accounting. */
     void recordAct(Cycle now, const TimingParams &tp);
@@ -132,8 +131,23 @@ class DramDevice
     DramDevice(const DramGeometry &geometry, const TimingParams &tp,
                const TimingDerate &derate, const Clock &clock = kMemClock);
 
+    /**
+     * The first cycle at which @p cmd is legal if nothing else issues
+     * first: the latest of the stored allowed-at cycles it depends on
+     * (bank, rank, bank group, data bus, command bus, tFAW, tRTRS,
+     * refresh windows).  kNeverCycle when the bank state forbids the
+     * command outright: PRE or a column command to a closed bank, ACT
+     * to an open one, REF with a bank open or on a per-bank device,
+     * REFsb to an open bank or on an all-bank device.  The device's
+     * one legality definition; only issue() moves its inputs.
+     */
+    Cycle earliestIssueAt(const Command &cmd) const;
+
     /** True when @p cmd may legally issue at @p now. */
-    bool canIssue(const Command &cmd, Cycle now) const;
+    bool canIssue(const Command &cmd, Cycle now) const
+    {
+        return earliestIssueAt(cmd) <= now;
+    }
 
     /**
      * Issue @p cmd at @p now.  Panics if illegal (the controller must
@@ -161,9 +175,6 @@ class DramDevice
 
     /** Earliest next refresh deadline across @p rank_idx's engines. */
     Cycle nextRefreshDueAt(RankId rank_idx) const;
-
-    /** True when any rank has a REF / REFsb due at @p now. */
-    bool refreshDue(Cycle now) const;
 
     /** True when any bank's REFsb tRFCpb window covers @p now (the
      *  refresh shadow SARP drains writes into). */
@@ -217,10 +228,6 @@ class DramDevice
     void addObserver(CommandObserver *obs);
 
   private:
-    bool canIssueAct(const Command &cmd, Cycle now) const;
-    bool canIssueRef(const Command &cmd, Cycle now) const;
-    bool canIssueRefsb(const Command &cmd, Cycle now) const;
-
     BankState &bankRef(RankId rank, BankId bank_idx);
 
     DramGeometry geom_;

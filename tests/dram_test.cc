@@ -1,8 +1,9 @@
 /**
  * @file
  * DRAM device tests: bank state machine, rank constraints (tRRD/tFAW),
- * data-bus interleaving, refresh legality, and the charge-violation
- * ground-truth check.
+ * data-bus interleaving, refresh legality, the exact earliest-issue
+ * cycles the controller's quiet ticks rely on, and the
+ * charge-violation ground-truth check.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "charge/timing_derate.hh"
 #include "common/logging.hh"
 #include "dram/dram_device.hh"
+#include "dram/dram_spec.hh"
 
 namespace nuat {
 namespace {
@@ -88,6 +90,10 @@ class DramTest : public ::testing::Test
     const TimingParams tp_;
 };
 
+// earliestIssueAt must return the exact first legal cycle, not just
+// one that is legal: the controller sleeps until the smallest one, so
+// a value one cycle late would skip a cycle a command could have used.
+
 TEST_F(DramTest, ActThenReadRespectsTrcd)
 {
     ASSERT_TRUE(dev_->canIssue(act(0, 100), 10));
@@ -95,6 +101,9 @@ TEST_F(DramTest, ActThenReadRespectsTrcd)
     const Command rd = col(CmdType::kRead, 0);
     EXPECT_FALSE(dev_->canIssue(rd, 10 + tp_.tRCD - 1));
     EXPECT_EQ(earliest(rd, 11), 10 + tp_.tRCD);
+    for (const CmdType type : {CmdType::kRead, CmdType::kReadAp,
+                               CmdType::kWrite, CmdType::kWriteAp})
+        EXPECT_EQ(dev_->earliestIssueAt(col(type, 0)), 10 + tp_.tRCD);
 }
 
 TEST_F(DramTest, ReadReturnsDataAfterClPlusBurst)
@@ -110,6 +119,7 @@ TEST_F(DramTest, ActThenPreRespectsTras)
     dev_->issue(act(0, 100), 0);
     EXPECT_FALSE(dev_->canIssue(pre(0), tp_.tRAS - 1));
     EXPECT_EQ(earliest(pre(0), 1), tp_.tRAS);
+    EXPECT_EQ(dev_->earliestIssueAt(pre(0)), tp_.tRAS);
 }
 
 TEST_F(DramTest, ActToActSameBankRespectsTrc)
@@ -184,6 +194,7 @@ TEST_F(DramTest, ActToActDifferentBanksRespectsTrrd)
     dev_->issue(act(0, 100), 0);
     EXPECT_FALSE(dev_->canIssue(act(1, 50), tp_.tRRD - 1));
     EXPECT_EQ(earliest(act(1, 50), 1), tp_.tRRD);
+    EXPECT_EQ(dev_->earliestIssueAt(act(1, 50)), tp_.tRRD);
 }
 
 TEST_F(DramTest, FourActivateWindowBlocksFifthAct)
@@ -197,6 +208,8 @@ TEST_F(DramTest, FourActivateWindowBlocksFifthAct)
     }
     const Cycle fifth = earliest(act(4, 10), t + 1);
     EXPECT_EQ(fifth, tp_.tFAW); // first ACT was at 0
+    EXPECT_GT(tp_.tFAW, t + tp_.tRRD); // tFAW, not tRRD, gates it
+    EXPECT_EQ(dev_->earliestIssueAt(act(4, 10)), tp_.tFAW);
 }
 
 TEST_F(DramTest, CommandBusOneCommandPerCycle)
@@ -321,6 +334,117 @@ TEST_F(DramTest, CountersTrackCommands)
     EXPECT_EQ(dev_->counters().pres, 0u);
 }
 
+TEST_F(DramTest, EarliestIssueAtForbidsWhatBankStateRules)
+{
+    // Bank 0 closed: nothing but an ACT can reach it.
+    for (const CmdType type :
+         {CmdType::kPre, CmdType::kRead, CmdType::kReadAp,
+          CmdType::kWrite, CmdType::kWriteAp}) {
+        Command c = col(type, 0);
+        EXPECT_EQ(dev_->earliestIssueAt(c), kNeverCycle)
+            << c.name() << " to a closed bank";
+    }
+    // REFsb on an all-bank device.
+    Command refsb;
+    refsb.type = CmdType::kRefsb;
+    EXPECT_EQ(dev_->earliestIssueAt(refsb), kNeverCycle);
+
+    dev_->issue(act(0, 100), 0);
+    EXPECT_EQ(dev_->earliestIssueAt(act(0, 101)), kNeverCycle)
+        << "ACT to an open bank";
+    EXPECT_EQ(dev_->earliestIssueAt(ref()), kNeverCycle)
+        << "REF with a bank open";
+}
+
+/** A device on a generation preset, with a charge model on the
+ *  preset's own nominal timing and clock. */
+struct PresetDevice
+{
+    explicit PresetDevice(DramGen gen)
+        : spec(DramSpec::preset(gen)), sa(cell),
+          derate(sa,
+                 NominalTiming{spec.timing.tRCD, spec.timing.tRAS,
+                               spec.timing.tRP},
+                 spec.clock()),
+          dev(spec.geometry, spec.timing, derate, spec.clock())
+    {
+    }
+
+    /** Nominal-timing ACT to @p bank. */
+    Command
+    act(unsigned bank) const
+    {
+        Command c;
+        c.type = CmdType::kAct;
+        c.bank = BankId{bank};
+        c.row = RowId{100};
+        c.actTiming = RowTiming{spec.timing.tRCD, spec.timing.tRAS,
+                                spec.timing.tRC};
+        return c;
+    }
+
+    Command
+    refsb(unsigned bank) const
+    {
+        Command c;
+        c.type = CmdType::kRefsb;
+        c.bank = BankId{bank};
+        return c;
+    }
+
+    const DramSpec &spec;
+    CellModel cell;
+    SenseAmpModel sa;
+    TimingDerate derate;
+    DramDevice dev;
+};
+
+TEST(DramEarliestIssue, SameGroupActWaitsTrrdL)
+{
+    PresetDevice d(DramGen::kDdr4_2400);
+    const TimingParams &tp = d.spec.timing;
+    const unsigned groups = d.spec.geometry.bankGroups;
+    ASSERT_GT(groups, 1u);
+    ASSERT_GT(tp.tRRD_L, tp.tRRD);
+    const Cycle t = 10;
+    d.dev.issue(d.act(0), t);
+    EXPECT_EQ(d.dev.earliestIssueAt(d.act(groups)), t + tp.tRRD_L)
+        << "same bank group";
+    EXPECT_EQ(d.dev.earliestIssueAt(d.act(1)), t + tp.tRRD)
+        << "other bank group";
+}
+
+TEST(DramEarliestIssue, RefsbSpacingAndWindow)
+{
+    PresetDevice d(DramGen::kDdr5_4800);
+    const TimingParams &tp = d.spec.timing;
+    ASSERT_EQ(tp.refreshMode, RefreshMode::kPerBank);
+    ASSERT_GT(tp.tREFSBRD, 0u);
+    ASSERT_GT(tp.tRFCpb, tp.tREFSBRD);
+
+    const Cycle t = d.dev.refreshFor(RankId{0}, BankId{0}).nextDueAt();
+    EXPECT_EQ(d.dev.earliestIssueAt(d.refsb(0)), 0u);
+    d.dev.issue(d.refsb(0), t);
+    // Another bank waits out the same-rank spacing, the refreshed one
+    // its tRFCpb window; other banks keep taking ACTs.
+    EXPECT_EQ(d.dev.earliestIssueAt(d.refsb(1)), t + tp.tREFSBRD);
+    EXPECT_EQ(d.dev.earliestIssueAt(d.refsb(0)), t + tp.tRFCpb);
+    EXPECT_EQ(d.dev.earliestIssueAt(d.act(0)), t + tp.tRFCpb);
+    EXPECT_EQ(d.dev.earliestIssueAt(d.act(1)), t + 1);
+}
+
+TEST(DramEarliestIssue, PerBankDeviceForbidsRefAndRefsbToOpenBank)
+{
+    PresetDevice d(DramGen::kDdr5_4800);
+    Command ref;
+    ref.type = CmdType::kRef;
+    EXPECT_EQ(d.dev.earliestIssueAt(ref), kNeverCycle)
+        << "REF on a per-bank device";
+    d.dev.issue(d.act(3), 0);
+    EXPECT_EQ(d.dev.earliestIssueAt(d.refsb(3)), kNeverCycle)
+        << "REFsb to an open bank";
+}
+
 TEST(DramMultiRank, RankToRankSwitchPenalty)
 {
     setPanicThrows(true);
@@ -361,6 +485,8 @@ TEST(DramMultiRank, RankToRankSwitchPenalty)
         ++t_cross;
     EXPECT_EQ(t_same, t + tp.tCCD);
     EXPECT_EQ(t_cross, t + tp.tBL + tp.tRTRS);
+    EXPECT_EQ(dev.earliestIssueAt(rd0), t + tp.tCCD);
+    EXPECT_EQ(dev.earliestIssueAt(rd1), t + tp.tBL + tp.tRTRS);
     setPanicThrows(false);
 }
 
