@@ -119,6 +119,7 @@ MemoryController::MemoryController(DramDevice &dev,
     actSeenEpoch_.assign(static_cast<std::size_t>(ranks) * banks, 0);
     actSeenRow_.assign(static_cast<std::size_t>(ranks) * banks, kNoRow);
     preSeenEpoch_.assign(static_cast<std::size_t>(ranks) * banks, 0);
+    verdict_.assign(static_cast<std::size_t>(ranks) * banks, kNoRefresh);
 
     // Out-of-order refresh policies only exist on the REFsb substrate;
     // under all-bank REF the config knob degenerates to in-order.
@@ -226,6 +227,7 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
     req->arrivalAt = now;
     req->waiters.push_back(waiter);
     readQ_.push(std::move(req));
+    quietUntil_ = 0; // a new request may be issuable at once
 }
 
 void
@@ -252,6 +254,7 @@ MemoryController::enqueueWrite(Addr addr, Cycle now)
     req->col = c.col;
     req->arrivalAt = now;
     writeQ_.push(std::move(req));
+    quietUntil_ = 0; // a new request may be issuable at once
 }
 
 void
@@ -273,27 +276,45 @@ MemoryController::processCompletions(Cycle now)
 }
 
 bool
-MemoryController::handleRefresh(Cycle now)
+MemoryController::tryIssue(const Command &cmd, Cycle now, Cycle &wake)
+{
+    const Cycle at = dev_.earliestIssueAt(cmd);
+    if (at > now) {
+        wake = std::min(wake, at);
+        return false;
+    }
+    dev_.issue(cmd, now);
+    scheduler_->onIssue(cmd, makeContext(now));
+    return true;
+}
+
+bool
+MemoryController::handleRefresh(Cycle now, Cycle &wake)
 {
     if (dev_.timing().refreshMode == RefreshMode::kPerBank)
-        return handlePerBankRefresh(now);
+        return handlePerBankRefresh(now, wake);
 
+    const unsigned banks = dev_.geometry().banks;
     for (unsigned r = 0; r < dev_.geometry().ranks; ++r) {
         const RankId rank{r};
-        if (!dev_.refresh(rank).due(now))
+        const RefreshEngine &eng = dev_.refresh(rank);
+        // An all-bank REF owes every bank of the rank at once.
+        const bool due = eng.due(now);
+        for (unsigned b = 0; b < banks; ++b)
+            verdict_[r * banks + b] = due ? kRefreshOwed : kNoRefresh;
+        if (!due) {
+            wake = std::min(wake, eng.nextDueAt());
             continue;
+        }
 
         Command ref;
         ref.type = CmdType::kRef;
         ref.rank = rank;
-        if (dev_.canIssue(ref, now)) {
-            dev_.issue(ref, now);
-            scheduler_->onIssue(ref, makeContext(now));
+        if (tryIssue(ref, now, wake))
             return true;
-        }
 
         // Drain open banks with forced precharges so REF can proceed.
-        for (unsigned b = 0; b < dev_.geometry().banks; ++b) {
+        for (unsigned b = 0; b < banks; ++b) {
             const BankId bank{b};
             if (dev_.bank(rank, bank).isClosed())
                 continue;
@@ -301,130 +322,115 @@ MemoryController::handleRefresh(Cycle now)
             pre.type = CmdType::kPre;
             pre.rank = rank;
             pre.bank = bank;
-            if (dev_.canIssue(pre, now)) {
-                dev_.issue(pre, now);
+            if (tryIssue(pre, now, wake)) {
                 ++stats_.forcedPres;
-                scheduler_->onIssue(pre, makeContext(now));
                 return true;
             }
         }
         // Nothing issuable yet (tRAS / tRTP / tWR still running); the
-        // rank's candidates are suppressed below, so progress is
+        // rank's candidates are suppressed in enumerate, so progress is
         // guaranteed.  Other ranks may still be scheduled.
     }
     return false;
 }
 
 bool
-MemoryController::tryRefreshBank(RankId rank, BankId bank, Cycle now)
+MemoryController::tryRefreshBank(RankId rank, BankId bank, Cycle now,
+                                 Cycle &wake)
 {
-    Command refsb;
-    refsb.type = CmdType::kRefsb;
-    refsb.rank = rank;
-    refsb.bank = bank;
-    if (dev_.canIssue(refsb, now)) {
-        dev_.issue(refsb, now);
-        scheduler_->onIssue(refsb, makeContext(now));
-        return true;
-    }
-
-    if (!dev_.bank(rank, bank).isClosed()) {
-        Command pre;
-        pre.type = CmdType::kPre;
-        pre.rank = rank;
-        pre.bank = bank;
-        if (dev_.canIssue(pre, now)) {
-            dev_.issue(pre, now);
-            ++stats_.forcedPres;
-            scheduler_->onIssue(pre, makeContext(now));
-            return true;
-        }
-    }
-    // Target bank still busy (tRAS / tRTP / tWR / tREFSBRD); its
+    // A closed bank takes its REFsb; an open one is drained first.
+    Command cmd;
+    cmd.type = dev_.bank(rank, bank).isClosed() ? CmdType::kRefsb
+                                                : CmdType::kPre;
+    cmd.rank = rank;
+    cmd.bank = bank;
+    // Target bank still busy (tRP / tRAS / tRTP / tWR / tREFSBRD): its
     // candidates are suppressed in enumerate, so it quiesces.
-    return false;
+    if (!tryIssue(cmd, now, wake))
+        return false;
+    if (cmd.type == CmdType::kPre)
+        ++stats_.forcedPres;
+    return true;
 }
 
-bool
-MemoryController::refreshForced(RankId rank, BankId bank,
-                                Cycle now) const
-{
-    return now + forceMargin_ >=
-           dev_.refreshFor(rank, bank).deadlineAt();
-}
-
-bool
-MemoryController::wantRefresh(RankId rank, BankId bank, Cycle now) const
+MemoryController::RefreshVerdict
+MemoryController::refreshVerdict(RankId rank, BankId bank, Cycle now,
+                                 Cycle &wake) const
 {
     const RefreshEngine &eng = dev_.refreshFor(rank, bank);
-    if (policy_ == RefreshPolicy::kInOrder)
-        return eng.due(now);
+    if (policy_ == RefreshPolicy::kInOrder) {
+        if (eng.due(now))
+            return kRefreshOwed;
+        wake = std::min(wake, eng.nextDueAt());
+        return kNoRefresh;
+    }
 
-    // DARP/SARP: the postponement deadline overrides everything.
-    if (refreshForced(rank, bank, now))
-        return true;
+    // DARP/SARP: once the postponement deadline is within forceMargin_,
+    // it overrides everything.
+    const Cycle deadline = eng.deadlineAt();
+    const Cycle forced_at =
+        deadline > forceMargin_ ? deadline - forceMargin_ : 0;
+    if (now >= forced_at)
+        return kRefreshForced;
     // Defer: the bank has queued demand and window to spare.
-    if (demand_.bankDemand(rank, bank) > 0)
-        return false;
+    if (demand_.bankDemand(rank, bank) > 0) {
+        wake = std::min(wake, forced_at);
+        return kNoRefresh;
+    }
     // No demand for this bank.  At the nominal deadline, refresh — a
     // fully idle system must keep the in-order cadence (the idle
     // fast-forward jumps to exactly these deadlines).
     if (eng.due(now))
-        return true;
+        return kRefreshOwed;
     // Pull in: only while the controller is busy elsewhere.  An idle
     // controller must not refresh early — the fast-forward skips spans
     // where provably nothing happens, and results must be identical
-    // with the optimization off.
-    return eng.canPullIn(now) && readQ_.size() + writeQ_.size() != 0;
+    // with the optimization off.  Both bounds lie before forced_at.
+    const bool busy = readQ_.size() + writeQ_.size() != 0;
+    if (busy && eng.canPullIn(now))
+        return kRefreshOwed;
+    wake = std::min(wake, busy ? eng.earliestIssueAt() : eng.nextDueAt());
+    return kNoRefresh;
 }
 
 bool
-MemoryController::handlePerBankRefresh(Cycle now)
+MemoryController::handlePerBankRefresh(Cycle now, Cycle &wake)
 {
-    // Per-bank refresh only drains the *target* bank: the rest of the
+    // Per-bank refresh only drains the *owing* bank: the rest of the
     // rank keeps servicing requests during the REFsb's tRFCpb window —
     // the property the DDR5 sweep exists to measure.
-    const unsigned ranks = dev_.geometry().ranks;
     const unsigned banks = dev_.geometry().banks;
-
-    if (policy_ == RefreshPolicy::kInOrder) {
-        for (unsigned r = 0; r < ranks; ++r) {
-            const RankId rank{r};
-            for (unsigned b = 0; b < banks; ++b) {
-                const BankId bank{b};
-                if (!dev_.refreshFor(rank, bank).due(now))
-                    continue;
-                if (tryRefreshBank(rank, bank, now))
-                    return true;
-                // Keep scanning: another bank may be issuable now.
-            }
-        }
-        return false;
+    auto rankOf = [&](std::size_t i) {
+        return RankId{static_cast<unsigned>(i / banks)};
+    };
+    auto bankOf = [&](std::size_t i) {
+        return BankId{static_cast<unsigned>(i % banks)};
+    };
+    bool any_owed = false;
+    for (std::size_t i = 0; i < verdict_.size(); ++i) {
+        verdict_[i] = refreshVerdict(rankOf(i), bankOf(i), now, wake);
+        any_owed = any_owed || verdict_[i] != kNoRefresh;
     }
+    if (!any_owed)
+        return false;
 
-    // Out-of-order (DARP/SARP): deadline-critical banks first — they
-    // can no longer be deferred, so they must not lose the slot to an
-    // opportunistic pull-in elsewhere.  Then everything else the
-    // policy approves (due idle banks, pull-ins).
-    for (int pass = 0; pass < 2; ++pass) {
-        for (unsigned r = 0; r < ranks; ++r) {
-            const RankId rank{r};
-            for (unsigned b = 0; b < banks; ++b) {
-                const BankId bank{b};
-                const bool forced = refreshForced(rank, bank, now);
-                if (pass == 0 ? !forced
-                              : (forced || !wantRefresh(rank, bank, now)))
-                    continue;
-                if (tryRefreshBank(rank, bank, now))
-                    return true;
-            }
+    // Deadline-critical banks first — they can no longer be deferred,
+    // so they must not lose the slot to an opportunistic pull-in
+    // elsewhere.  Then everything else the policy approves (due
+    // banks, pull-ins).  kInOrder never forces.
+    for (const RefreshVerdict pass : {kRefreshForced, kRefreshOwed}) {
+        for (std::size_t i = 0; i < verdict_.size(); ++i) {
+            if (verdict_[i] == pass &&
+                tryRefreshBank(rankOf(i), bankOf(i), now, wake))
+                return true;
         }
     }
     return false;
 }
 
 void
-MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
+MemoryController::enumerate(Cycle now, std::vector<Candidate> &out,
+                            Cycle &wake)
 {
     out.clear();
 
@@ -448,12 +454,24 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
     const RowTiming nominal{dev_.timing().tRCD, dev_.timing().tRAS,
                             dev_.timing().tRC};
 
+    // Add @p cand if its command is legal now; otherwise note when it
+    // becomes legal.
+    auto offer = [&](const Candidate &cand) {
+        const Cycle at = dev_.earliestIssueAt(cand.cmd);
+        if (at > now) {
+            wake = std::min(wake, at);
+            return false;
+        }
+        out.push_back(cand);
+        return true;
+    };
+
     auto addForRequest = [&](Request *req) {
-        if (wantRefresh(req->rank, req->bank, now))
-            return; // rank (or this bank) is draining for refresh
-        const BankState &b = dev_.bank(req->rank, req->bank);
         const std::size_t flat =
             req->rank.value() * banks + req->bank.value();
+        if (verdict_[flat] != kNoRefresh)
+            return; // rank (or this bank) is draining for refresh
+        const BankState &b = dev_.bank(req->rank, req->bank);
         Candidate cand;
         cand.req = req;
         cand.isWrite = req->isWrite;
@@ -468,8 +486,7 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
             cand.isRowHit = true;
             cand.morePendingToRow =
                 demandFor(req->rank, req->bank, req->row) > 1;
-            if (dev_.canIssue(cand.cmd, now))
-                out.push_back(cand);
+            offer(cand);
         } else if (b.isClosed()) {
             if (actSeenEpoch_[flat] == epoch &&
                 actSeenRow_[flat] == req->row)
@@ -477,22 +494,20 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
             cand.cmd.type = CmdType::kAct;
             cand.cmd.row = req->row;
             cand.cmd.actTiming = nominal;
-            if (dev_.canIssue(cand.cmd, now)) {
+            if (offer(cand)) {
                 actSeenEpoch_[flat] = epoch;
                 actSeenRow_[flat] = req->row;
-                out.push_back(cand);
             }
         } else {
             // Row conflict: precharge, unless the open row still has
-            // pending hits or a PRE candidate already exists.
+            // pending hits (whose column commands bound the wake) or a
+            // PRE candidate already exists.
             if (preSeenEpoch_[flat] == epoch ||
                 demandFor(req->rank, req->bank, b.openRow()) > 0)
                 return;
             cand.cmd.type = CmdType::kPre;
-            if (dev_.canIssue(cand.cmd, now)) {
+            if (offer(cand))
                 preSeenEpoch_[flat] = epoch;
-                out.push_back(cand);
-            }
         }
     };
 
@@ -576,11 +591,19 @@ MemoryController::tick(Cycle now)
     processCompletions(now);
     scheduler_->tick(makeContext(now));
 
-    if (handleRefresh(now))
+    if (now < quietUntil_) { // provably nothing to issue yet
+        ++stats_.idleCycles;
+        return;
+    }
+
+    Cycle wake = kNeverCycle;
+    if (handleRefresh(now, wake))
         return;
 
-    enumerate(now, scratch_);
+    enumerate(now, scratch_, wake);
     if (scratch_.empty()) {
+        if (cfg_.idleFastForward)
+            quietUntil_ = wake;
         ++stats_.idleCycles;
         return;
     }
@@ -628,17 +651,6 @@ bool
 MemoryController::idle() const
 {
     return readQ_.empty() && writeQ_.empty() && inFlight_.empty();
-}
-
-double
-MemoryController::hitRateEq3() const
-{
-    const auto &c = dev_.counters();
-    const double cols = static_cast<double>(c.reads + c.writes);
-    if (cols <= 0.0)
-        return 0.0;
-    const double hits = cols - static_cast<double>(c.acts);
-    return hits > 0.0 ? hits / cols : 0.0;
 }
 
 } // namespace nuat

@@ -7,7 +7,9 @@
  * attached Scheduler.  The controller is responsible for
  *  - accepting reads/writes (with line merging, write coalescing, and
  *    read-from-write-queue forwarding),
- *  - enumerating the legal candidate commands each cycle,
+ *  - enumerating the legal candidate commands, on every cycle at
+ *    which one can exist (a tick that finds none records when the
+ *    next could appear and skips the scan until then),
  *  - forcing refresh when a rank's REF deadline arrives (draining open
  *    banks with priority PREs, then issuing REF),
  *  - issuing the scheduler's choice and retiring requests,
@@ -64,6 +66,15 @@ struct ControllerConfig
      * effectively kInOrder — under RefreshMode::kAllBank.
      */
     RefreshPolicy refreshPolicy = RefreshPolicy::kInOrder;
+
+    /**
+     * Skip the refresh scan and candidate enumeration on ticks that
+     * provably issue nothing (see MemoryController::quietUntil_).
+     * Results are byte-identical either way; makeChannelStack copies
+     * ExperimentConfig::idleFastForward here, and off is the reference
+     * path the fast-forward differential tests compare against.
+     */
+    bool idleFastForward = true;
 };
 
 /** Aggregate controller statistics. */
@@ -216,12 +227,6 @@ class MemoryController : public MemoryPort
     /** The address mapping in use. */
     const AddressMapping &mapping() const { return mapping_; }
 
-    /**
-     * Row-buffer hit rate per the paper's equation (3):
-     * (#column accesses - #activations) / #column accesses.
-     */
-    double hitRateEq3() const;
-
   private:
     /** A read whose data is still in flight from the device. */
     struct PendingCompletion
@@ -237,14 +242,27 @@ class MemoryController : public MemoryPort
     /** Deliver finished reads whose data has arrived by @p now. */
     void processCompletions(Cycle now);
 
-    /** Try to advance a due refresh; true if a command slot was used
-     *  (or must stay reserved) for refresh this cycle. */
-    bool handleRefresh(Cycle now);
+    /** A bank's refresh verdict for the current tick. */
+    enum RefreshVerdict : std::uint8_t
+    {
+        kNoRefresh,     //!< the bank keeps serving requests
+        kRefreshOwed,   //!< the policy wants the bank refreshed now
+        kRefreshForced, //!< DARP/SARP: the deadline allows no deferral
+    };
+
+    /**
+     * The refresh scan: store every bank's verdict in verdict_ and try
+     * to advance the refreshes it asks for.  True if it issued a
+     * command.  Otherwise it has lowered @p wake to the first cycle at
+     * which a verdict can turn on or a refresh-side command becomes
+     * legal.
+     */
+    bool handleRefresh(Cycle now, Cycle &wake);
 
     /** handleRefresh body for per-bank (REFsb) mode: drains and
-     *  refreshes only the due bank, leaving the rest of the rank
+     *  refreshes only the owing bank, leaving the rest of the rank
      *  schedulable. */
-    bool handlePerBankRefresh(Cycle now);
+    bool handlePerBankRefresh(Cycle now, Cycle &wake);
 
     /**
      * The per-bank refresh policy's verdict: does (rank, bank) owe a
@@ -252,22 +270,28 @@ class MemoryController : public MemoryPort
      * (RefreshEngine::due); DARP/SARP defer a due refresh while the
      * bank has queued demand (until the postponement deadline nears)
      * and pull one forward when the bank is idle but the controller is
-     * busy elsewhere.  Both handlePerBankRefresh (issue side) and
-     * enumerate (candidate suppression side) consult this, so a bank
-     * that owes a refresh quiesces and one that doesn't keeps serving.
+     * busy elsewhere.  For a "no" it lowers @p wake to the cycle the
+     * verdict can turn on; with the queues unchanged, a verdict only
+     * turns on as @p now grows.
      */
-    bool wantRefresh(RankId rank, BankId bank, Cycle now) const;
+    RefreshVerdict refreshVerdict(RankId rank, BankId bank, Cycle now,
+                                  Cycle &wake) const;
 
-    /** True when (rank, bank)'s postponement window is nearly spent
-     *  and its refresh can no longer be deferred. */
-    bool refreshForced(RankId rank, BankId bank, Cycle now) const;
+    /** Try to advance (rank, bank)'s refresh: REFsb on a closed bank,
+     *  else a forced PRE on its open row.  True if a command was
+     *  issued. */
+    bool tryRefreshBank(RankId rank, BankId bank, Cycle now, Cycle &wake);
 
-    /** Try to advance (rank, bank)'s refresh: REFsb if legal, else a
-     *  forced PRE on its open row.  True if a command was issued. */
-    bool tryRefreshBank(RankId rank, BankId bank, Cycle now);
+    /** Issue the refresh-side @p cmd if it is legal at @p now, else
+     *  lower @p wake to the cycle it becomes legal.  True if issued. */
+    bool tryIssue(const Command &cmd, Cycle now, Cycle &wake);
 
-    /** Enumerate all legal candidates at @p now into @p out. */
-    void enumerate(Cycle now, std::vector<Candidate> &out);
+    /**
+     * Enumerate all legal candidates at @p now into @p out, skipping
+     * banks whose verdict_ is not kNoRefresh, and lower @p wake to the
+     * first cycle each rejected command becomes legal.
+     */
+    void enumerate(Cycle now, std::vector<Candidate> &out, Cycle &wake);
 
     /** Issue the chosen candidate and retire its request if done. */
     void issueCandidate(Candidate &cand, Cycle now);
@@ -299,6 +323,22 @@ class MemoryController : public MemoryPort
     std::uint64_t nextRequestId_ = 1;
     ControllerStats stats_;
     std::vector<Candidate> scratch_; //!< reused candidate buffer
+
+    /** This tick's refresh verdict per (rank, bank), indexed
+     *  rank * banks + bank: the scan writes it, enumerate reads it. */
+    std::vector<RefreshVerdict> verdict_;
+
+    /**
+     * No command can issue before this cycle.  A tick whose refresh
+     * scan and enumerate find nothing legal sets it to the earliest
+     * cycle at which a refresh verdict can turn on or a rejected
+     * command becomes legal; ticks before it skip both.  The skip is
+     * exact: every legality input is an allowed-at cycle that only an
+     * issue moves, queue contents and row demand change only on an
+     * issue or a push, and each verdict only turns on as time passes.
+     * No issue happens while quiet, so a push is the one reset.
+     */
+    Cycle quietUntil_ = 0;
 
     /**
      * Shard confinement (debug-asserted): a controller is driven by

@@ -3,9 +3,9 @@
  * The scheduling interface between the memory controller and its
  * command-selection policy.
  *
- * Every memory cycle the controller enumerates all *issuable-now*
- * candidate commands (the next required command of each queued request)
- * and asks the scheduler to pick one.  The scheduler may also decorate
+ * Every memory cycle that can have one, the controller enumerates all
+ * *issuable-now* candidate commands (the next required command of each
+ * queued request) and asks the scheduler to pick one.  The scheduler may also decorate
  * the chosen command: convert a column access to its auto-precharge
  * flavour (page-mode policy) or tighten an ACT's timing (NUAT's
  * charge-aware derating).

@@ -52,6 +52,7 @@ makeChannelStack(const ExperimentConfig &cfg, unsigned channel)
     chan_geom.channels = 1;
     ControllerConfig ctrl_cfg = cfg.controller;
     ctrl_cfg.channels = cfg.geometry.channels;
+    ctrl_cfg.idleFastForward = cfg.idleFastForward;
 
     const CellModel cell(cfg.charge);
     NominalTiming nominal;

@@ -128,10 +128,13 @@ struct ExperimentConfig
     Cycle maxMemCycles = 60000000;
 
     /**
-     * Skip provably idle memory cycles (all queues empty, nothing due)
-     * in one jump instead of ticking through them.  Results are
+     * Skip provably idle work: memory cycles with every queue empty
+     * and nothing due, in one jump instead of ticking through them,
+     * and each controller's refresh scan and candidate enumeration on
+     * ticks that provably issue nothing (makeChannelStack copies this
+     * into ControllerConfig::idleFastForward).  Results are
      * byte-identical either way; the toggle exists for the regression
-     * test and for debugging.
+     * tests and for debugging.
      */
     bool idleFastForward = true;
 

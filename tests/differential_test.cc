@@ -12,12 +12,17 @@
  *   - the run drained (no cycle-cap hit, every core finished).
  *
  * A second pass re-runs a subset with idle fast-forward disabled and
- * requires byte-identical statistics, pinning down the optimization's
- * "results are identical either way" contract.
+ * requires byte-identical statistics and issued-command streams,
+ * pinning down the optimization's "results are identical either way"
+ * contract.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -105,6 +110,70 @@ describe(const RunResult &r, unsigned i)
     return s;
 }
 
+/** Lines of the file at @p path (none when it cannot be read). */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/**
+ * Run config #@p i, @p cfg, with idle fast-forward on and off,
+ * capturing both issued-command streams.  Everything but
+ * idleCyclesSkipped must match, and so must the streams line by line:
+ * a skipped tick that would have issued a command fails at its exact
+ * cycle, even when the aggregate statistics happen to agree.
+ * @p detail is appended to the failure label.
+ */
+void
+expectFastForwardIdentical(ExperimentConfig cfg, unsigned i,
+                           const std::string &detail = "")
+{
+    // The pid keeps concurrent runs of this binary (sanitizer lanes
+    // side by side) off each other's files.
+    const std::string stem = testing::TempDir() + "differential_ff_" +
+                             std::to_string(::getpid());
+    const std::string fast_path = stem + "_on.trace";
+    const std::string slow_path = stem + "_off.trace";
+
+    cfg.idleFastForward = true;
+    cfg.dumpTracePath = fast_path;
+    RunResult fast = runExperiment(cfg);
+    cfg.idleFastForward = false;
+    cfg.dumpTracePath = slow_path;
+    RunResult slow = runExperiment(cfg);
+
+    const std::string label = describe(fast, i) + detail;
+    EXPECT_EQ(slow.idleCyclesSkipped, 0u) << label;
+    fast.idleCyclesSkipped = 0;
+    slow.idleCyclesSkipped = 0;
+    EXPECT_EQ(runResultToJson(fast), runResultToJson(slow)) << label;
+    EXPECT_EQ(fast.auditViolations, 0u) << label;
+
+    const std::vector<std::string> fast_cmds = readLines(fast_path);
+    const std::vector<std::string> slow_cmds = readLines(slow_path);
+    EXPECT_GT(fast_cmds.size(), 8u) << label << ": no command stream";
+    const std::size_t n = std::min(fast_cmds.size(), slow_cmds.size());
+    std::size_t line = 0;
+    while (line < n && fast_cmds[line] == slow_cmds[line])
+        ++line;
+    if (line < n) {
+        ADD_FAILURE() << label << ": command streams part at line "
+                      << line + 1 << "\n  fast-forward on:  "
+                      << fast_cmds[line] << "\n  fast-forward off: "
+                      << slow_cmds[line];
+    } else {
+        EXPECT_EQ(fast_cmds.size(), slow_cmds.size())
+            << label << ": one command stream is a prefix of the other";
+    }
+    std::remove(fast_path.c_str());
+    std::remove(slow_path.c_str());
+}
+
 } // namespace
 
 TEST(DifferentialTest, RandomizedSweepIsViolationFree)
@@ -183,25 +252,14 @@ TEST(DifferentialTest, GenerationFastForwardIsStatIdentical)
     // The idle fast-forward's "byte-identical either way" contract
     // must survive per-bank refresh (32 staggered deadlines instead
     // of one) and the non-DDR3 clocks.
-    unsigned idx = 40;
     for (unsigned g = 0; g < kNumDramGens; ++g) {
-        ExperimentConfig cfg = randomConfig(idx++);
+        const unsigned idx = 40 + g;
+        ExperimentConfig cfg = randomConfig(idx);
         cfg.applyDramGen(static_cast<DramGen>(g),
                          RefreshMode::kPerBank);
         cfg.memOpsPerCore = 1200;
-
-        cfg.idleFastForward = true;
-        RunResult fast = runExperiment(cfg);
-        cfg.idleFastForward = false;
-        RunResult slow = runExperiment(cfg);
-
-        EXPECT_EQ(slow.idleCyclesSkipped, 0u);
-        fast.idleCyclesSkipped = 0;
-        slow.idleCyclesSkipped = 0;
-        EXPECT_EQ(runResultToJson(fast), runResultToJson(slow))
-            << describe(fast, idx) << " gen="
-            << dramGenName(cfg.dramGen);
-        EXPECT_EQ(fast.auditViolations, 0u);
+        expectFastForwardIdentical(
+            cfg, idx, std::string(" gen=") + dramGenName(cfg.dramGen));
     }
 }
 
@@ -264,24 +322,15 @@ TEST(DifferentialTest, RefreshPolicyFastForwardIsStatIdentical)
          {DramGen::kDdr4_2400, DramGen::kDdr5_4800}) {
         for (const RefreshPolicy policy :
              {RefreshPolicy::kDarp, RefreshPolicy::kSarp}) {
-            ExperimentConfig cfg = randomConfig(idx++);
+            ExperimentConfig cfg = randomConfig(idx);
             cfg.applyDramGen(gen, RefreshMode::kPerBank);
             cfg.controller.refreshPolicy = policy;
             cfg.memOpsPerCore = 1200;
-
-            cfg.idleFastForward = true;
-            RunResult fast = runExperiment(cfg);
-            cfg.idleFastForward = false;
-            RunResult slow = runExperiment(cfg);
-
-            EXPECT_EQ(slow.idleCyclesSkipped, 0u);
-            fast.idleCyclesSkipped = 0;
-            slow.idleCyclesSkipped = 0;
-            EXPECT_EQ(runResultToJson(fast), runResultToJson(slow))
-                << describe(fast, idx) << " gen="
-                << dramGenName(cfg.dramGen) << " policy="
-                << refreshPolicyName(policy);
-            EXPECT_EQ(fast.auditViolations, 0u);
+            expectFastForwardIdentical(
+                cfg, idx,
+                std::string(" gen=") + dramGenName(cfg.dramGen) +
+                    " policy=" + refreshPolicyName(policy));
+            ++idx;
         }
     }
 }
@@ -377,21 +426,17 @@ TEST(DifferentialTest, GuardbandRecoversAfterFaultWindowPasses)
 TEST(DifferentialTest, FastForwardOnOffIsStatIdentical)
 {
     // One config per scheduler family, audited, both fast-forward
-    // settings; everything except idleCyclesSkipped must match.
+    // settings.  The switch covers both skips: System's jump over
+    // all-idle spans and each controller's quiet ticks.
     for (const unsigned i : {0u, 1u, 2u, 3u, 5u}) {
         ExperimentConfig cfg = randomConfig(i);
         cfg.memOpsPerCore = 1200; // two full runs each, keep it quick
-
-        cfg.idleFastForward = true;
-        RunResult fast = runExperiment(cfg);
-        cfg.idleFastForward = false;
-        RunResult slow = runExperiment(cfg);
-
-        EXPECT_EQ(slow.idleCyclesSkipped, 0u);
-        fast.idleCyclesSkipped = 0;
-        slow.idleCyclesSkipped = 0;
-        EXPECT_EQ(runResultToJson(fast), runResultToJson(slow))
-            << describe(fast, i);
-        EXPECT_EQ(fast.auditViolations, 0u);
+        expectFastForwardIdentical(cfg, i);
     }
+    // Two ranks reach what the single-rank configs never do: the
+    // cross-rank tRTRS gap and one REF drain per rank.
+    ExperimentConfig cfg = randomConfig(7);
+    cfg.geometry.ranks = 2;
+    cfg.memOpsPerCore = 1200;
+    expectFastForwardIdentical(cfg, 7, " ranks=2");
 }
