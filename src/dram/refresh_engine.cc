@@ -13,7 +13,7 @@ RefreshEngine::RefreshEngine(std::uint32_t rows, const TimingParams &tp,
                              Cycle first_due_at)
     : rows_(rows), rowsPerRef_(tp.rowsPerRef),
       interval_(tp.refInterval()), pullInWindow_(tp.refPullInWindow()),
-      postponeWindow_(tp.refPostponeWindow())
+      postponeWindow_(tp.refPostponeWindow()), firstDueAt_(first_due_at)
 {
     nuat_assert(rows_ > 0 && rowsPerRef_ > 0);
     nuat_assert(rows_ % rowsPerRef_ == 0,
@@ -22,18 +22,9 @@ RefreshEngine::RefreshEngine(std::uint32_t rows, const TimingParams &tp,
     nuat_assert(first_due_at > 0 && first_due_at <= interval_,
                 "(refresh phase outside (0, interval])");
 
-    // Steady-state history: with the first REF due at phase d, group g
-    // of rowsPerRef rows was last refreshed at d - (G - g) intervals —
-    // strictly before cycle 0, evenly spaced, with group G-1 the
-    // freshest.  At d == interval this is the classic schedule (last
-    // group refreshed exactly at cycle 0).
-    const std::uint32_t groups = rows_ / rowsPerRef_;
-    groupRefreshAt_.resize(groups);
-    for (std::uint32_t g = 0; g < groups; ++g) {
-        groupRefreshAt_[g] = static_cast<std::int64_t>(first_due_at) -
-                             static_cast<std::int64_t>(groups - g) *
-                                 static_cast<std::int64_t>(interval_);
-    }
+    // The steady-state history before cycle 0 is a formula (see
+    // lastRefreshAt), so nothing is stamped until the first REF.
+    groupRefreshAt_.reserve(rows_ / rowsPerRef_);
     nextRow_ = 0;
     nextDueAt_ = first_due_at;
 }
@@ -41,7 +32,14 @@ RefreshEngine::RefreshEngine(std::uint32_t rows, const TimingParams &tp,
 void
 RefreshEngine::performRefresh(Cycle now)
 {
-    groupRefreshAt_[nextRow_ / rowsPerRef_] = static_cast<std::int64_t>(now);
+    // The counter walks the groups in order, so the first lap appends.
+    const std::uint32_t group = nextRow_ / rowsPerRef_;
+    if (group < groupRefreshAt_.size()) {
+        groupRefreshAt_[group] = static_cast<std::int64_t>(now);
+    } else {
+        nuat_assert(group == groupRefreshAt_.size());
+        groupRefreshAt_.push_back(static_cast<std::int64_t>(now));
+    }
     if (now < nextDueAt_)
         ++pulledIn_;
     else if (now > nextDueAt_)
@@ -55,7 +53,18 @@ std::int64_t
 RefreshEngine::lastRefreshAt(RowId row) const
 {
     nuat_assert(row.value() < rows_);
-    return groupRefreshAt_[row.value() / rowsPerRef_];
+    const std::uint32_t group = row.value() / rowsPerRef_;
+    if (group < groupRefreshAt_.size())
+        return groupRefreshAt_[group];
+    // Steady-state history: with the first REF due at phase d, group g
+    // of G was last refreshed at d - (G - g) intervals — strictly
+    // before cycle 0, evenly spaced, with group G-1 the freshest.  At
+    // d == interval this is the classic schedule (last group refreshed
+    // exactly at cycle 0).
+    const std::uint32_t groups = rows_ / rowsPerRef_;
+    return static_cast<std::int64_t>(firstDueAt_) -
+           static_cast<std::int64_t>(groups - group) *
+               static_cast<std::int64_t>(interval_);
 }
 
 Nanoseconds

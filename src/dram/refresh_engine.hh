@@ -151,9 +151,16 @@ class RefreshEngine
     std::uint64_t refreshesDone_ = 0;
     std::uint64_t pulledIn_ = 0;
     std::uint64_t postponed_ = 0;
-    /** Last-refresh cycle per refresh group: a REF always stamps the
-     *  rowsPerRef rows from nextRow_, a multiple of rowsPerRef, so
-     *  every row of a group shares one stamp. */
+    Cycle firstDueAt_; //!< the first REF's deadline (history phase)
+    /**
+     * Last-refresh cycle of each refresh group that a REF has stamped:
+     * a REF always stamps the rowsPerRef rows from nextRow_, a multiple
+     * of rowsPerRef, so every row of a group shares one stamp.  The
+     * counter walks the groups in order from 0, so group g has a stamp
+     * once g < size(); before that lastRefreshAt derives its history.
+     * Construction stamps nothing, so building an engine costs no pass
+     * over its groups.
+     */
     std::vector<std::int64_t> groupRefreshAt_;
 };
 

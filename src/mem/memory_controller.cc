@@ -113,12 +113,9 @@ MemoryController::MemoryController(DramDevice &dev,
 
     const unsigned ranks = dev_.geometry().ranks;
     const unsigned banks = dev_.geometry().banks;
-    demand_.reset(ranks, banks);
-    readQ_.attachDemandTracker(&demand_);
-    writeQ_.attachDemandTracker(&demand_);
-    actSeenEpoch_.assign(static_cast<std::size_t>(ranks) * banks, 0);
-    actSeenRow_.assign(static_cast<std::size_t>(ranks) * banks, kNoRow);
-    preSeenEpoch_.assign(static_cast<std::size_t>(ranks) * banks, 0);
+    index_.reset(ranks, banks);
+    readQ_.attachBankIndex(&index_);
+    writeQ_.attachBankIndex(&index_);
     verdict_.assign(static_cast<std::size_t>(ranks) * banks, kNoRefresh);
 
     // Out-of-order refresh policies only exist on the REFsb substrate;
@@ -373,7 +370,7 @@ MemoryController::refreshVerdict(RankId rank, BankId bank, Cycle now,
     if (now >= forced_at)
         return kRefreshForced;
     // Defer: the bank has queued demand and window to spare.
-    if (demand_.bankDemand(rank, bank) > 0) {
+    if (index_.bankDemand(index_.flatBank(rank, bank)) > 0) {
         wake = std::min(wake, forced_at);
         return kNoRefresh;
     }
@@ -435,86 +432,97 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out,
     out.clear();
 
     const unsigned banks = dev_.geometry().banks;
-
-    // Per-(bank,row) demand counts come from the incrementally
-    // maintained tracker (updated on queue push/remove).  Used both to
-    // suppress precharges of rows with pending hits (FR-FCFS
-    // semantics; NUAT's HIT element agrees) and to tell close-page
-    // policies whether a column access is the row's last pending one.
-    auto demandFor = [&](RankId rank, BankId bank, RowId row) -> unsigned {
-        return demand_.demandFor(rank, bank, row);
-    };
-
-    // Dedup masks: one ACT candidate per (bank,row), one PRE per bank.
-    // The persistent flat arrays are epoch-tagged, so advancing the
-    // epoch invalidates every slot without touching memory.
-    ++enumEpoch_;
-    const std::uint64_t epoch = enumEpoch_;
-
     const RowTiming nominal{dev_.timing().tRCD, dev_.timing().tRAS,
                             dev_.timing().tRC};
 
-    // Add @p cand if its command is legal now; otherwise note when it
-    // becomes legal.
-    auto offer = [&](const Candidate &cand) {
-        const Cycle at = dev_.earliestIssueAt(cand.cmd);
+    // The device's answer depends only on the rank, the bank and the
+    // command kind, so one check covers every request of the bank that
+    // needs this command.  A rejected check notes when it turns legal.
+    auto legal = [&](const Command &cmd) {
+        const Cycle at = dev_.earliestIssueAt(cmd);
         if (at > now) {
             wake = std::min(wake, at);
             return false;
         }
-        out.push_back(cand);
         return true;
     };
 
-    auto addForRequest = [&](Request *req) {
-        const std::size_t flat =
-            req->rank.value() * banks + req->bank.value();
+    for (const std::size_t flat : index_.activeBanks()) {
         if (verdict_[flat] != kNoRefresh)
-            return; // rank (or this bank) is draining for refresh
-        const BankState &b = dev_.bank(req->rank, req->bank);
-        Candidate cand;
-        cand.req = req;
-        cand.isWrite = req->isWrite;
-        cand.cmd.rank = req->rank;
-        cand.cmd.bank = req->bank;
+            continue; // rank (or this bank) is draining for refresh
+        const std::vector<Request *> &reads = index_.reads(flat);
+        const std::vector<Request *> &writes = index_.writes(flat);
+        Command cmd;
+        cmd.rank = RankId{static_cast<unsigned>(flat / banks)};
+        cmd.bank = BankId{static_cast<unsigned>(flat % banks)};
+        const BankState &b = dev_.bank(cmd.rank, cmd.bank);
 
-        if (b.openRow() == req->row) {
-            cand.cmd.type =
-                req->isWrite ? CmdType::kWrite : CmdType::kRead;
-            cand.cmd.col = req->col;
-            cand.cmd.row = req->row;
-            cand.isRowHit = true;
-            cand.morePendingToRow =
-                demandFor(req->rank, req->bank, req->row) > 1;
-            offer(cand);
-        } else if (b.isClosed()) {
-            if (actSeenEpoch_[flat] == epoch &&
-                actSeenRow_[flat] == req->row)
-                return;
-            cand.cmd.type = CmdType::kAct;
-            cand.cmd.row = req->row;
-            cand.cmd.actTiming = nominal;
-            if (offer(cand)) {
-                actSeenEpoch_[flat] = epoch;
-                actSeenRow_[flat] = req->row;
+        if (b.isClosed()) {
+            // One ACT per request, reads then writes in arrival order,
+            // except that a request whose row equals the previous ACT
+            // candidate's adds none.  So rows X, Y, X offer ACT X twice.
+            cmd.type = CmdType::kAct;
+            cmd.actTiming = nominal;
+            if (!legal(cmd))
+                continue;
+            RowId last = kNoRow;
+            for (const auto *list : {&reads, &writes}) {
+                for (Request *req : *list) {
+                    if (req->row == last)
+                        continue;
+                    last = req->row;
+                    cmd.row = req->row;
+                    out.push_back(
+                        Candidate{cmd, req, req->isWrite, false, false});
+                }
             }
-        } else {
-            // Row conflict: precharge, unless the open row still has
-            // pending hits (whose column commands bound the wake) or a
-            // PRE candidate already exists.
-            if (preSeenEpoch_[flat] == epoch ||
-                demandFor(req->rank, req->bank, b.openRow()) > 0)
-                return;
-            cand.cmd.type = CmdType::kPre;
-            if (offer(cand))
-                preSeenEpoch_[flat] = epoch;
+            continue;
         }
-    };
 
-    for (const auto &req : readQ_)
-        addForRequest(req.get());
-    for (const auto &req : writeQ_)
-        addForRequest(req.get());
+        const RowId open = b.openRow();
+        const BankIndex::RowDemand hits = index_.demandFor(flat, open);
+        if (hits.total() == 0) {
+            // Row conflict with no pending hit: one PRE for the bank,
+            // carried by its first read, else its first write.
+            cmd.type = CmdType::kPre;
+            if (legal(cmd)) {
+                Request *req = reads.empty() ? writes.front() : reads.front();
+                out.push_back(Candidate{cmd, req, req->isWrite, false, false});
+            }
+            continue;
+        }
+        // Open row with pending hits: only they get candidates (FR-FCFS
+        // semantics; NUAT's HIT element agrees), and the conflicting
+        // requests wait behind their column commands.
+        cmd.row = open;
+        const bool more = hits.total() > 1;
+        auto columns = [&](const std::vector<Request *> &list,
+                           unsigned count, CmdType type) {
+            cmd.type = type;
+            if (count == 0 || !legal(cmd))
+                return;
+            for (Request *req : list) {
+                if (req->row != open)
+                    continue;
+                cmd.col = req->col;
+                out.push_back(Candidate{cmd, req, req->isWrite, true, more});
+            }
+        };
+        columns(reads, hits.reads, CmdType::kRead);
+        columns(writes, hits.writes, CmdType::kWrite);
+    }
+
+    // Queue order: reads before writes, each by arrival (request id).
+    // Schedulers break full ties toward the earlier candidate, so this
+    // order is part of the result (see scheduler.hh).
+    if (out.size() > 1) {
+        std::sort(out.begin(), out.end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      if (a.isWrite != b.isWrite)
+                          return b.isWrite;
+                      return a.req->id < b.req->id;
+                  });
+    }
 
     // SARP write-drain shadowing: while some bank sits in its tRFCpb
     // window, steer the slot toward the write queue — the drain hides

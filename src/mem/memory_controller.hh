@@ -215,6 +215,10 @@ class MemoryController : public MemoryPort
     std::size_t readQueueLen() const { return readQ_.size(); }
     std::size_t writeQueueLen() const { return writeQ_.size(); }
 
+    /** The queued requests, in arrival order (read-only). */
+    const RequestQueue &readQueue() const { return readQ_; }
+    const RequestQueue &writeQueue() const { return writeQ_; }
+
     /** Aggregate statistics. */
     const ControllerStats &stats() const { return stats_; }
 
@@ -287,9 +291,17 @@ class MemoryController : public MemoryPort
     bool tryIssue(const Command &cmd, Cycle now, Cycle &wake);
 
     /**
-     * Enumerate all legal candidates at @p now into @p out, skipping
-     * banks whose verdict_ is not kNoRefresh, and lower @p wake to the
-     * first cycle each rejected command becomes legal.
+     * Enumerate every candidate legal at @p now into @p out, in queue
+     * order (reads before writes, each by Request::id), and lower
+     * @p wake to the first cycle each rejected command becomes legal.
+     * It works bank by bank, skipping banks whose verdict_ is not
+     * kNoRefresh: one legality check per command kind the bank needs
+     * (ACT for a closed bank; PRE for an open one without pending hits;
+     * else RD and/or WR for the hit directions), and the bank's requests
+     * are visited only when that check passes.  A closed bank offers
+     * one ACT per request, except that a request whose row equals the
+     * previous ACT candidate's (reads, then writes, in arrival order)
+     * adds none: rows X, Y, X offer ACT X twice.
      */
     void enumerate(Cycle now, std::vector<Candidate> &out, Cycle &wake);
 
@@ -363,16 +375,8 @@ class MemoryController : public MemoryPort
     };
     std::unique_ptr<Occupancy> occupancy_;
 
-    /** Row demand over both queues, maintained on push/remove. */
-    RowDemandTracker demand_;
-
-    // Persistent per-(rank,bank) dedup masks for enumerate().  Epoch
-    // tagging (a slot is valid only when its epoch matches the current
-    // enumeration's) avoids clearing ranks*banks entries every cycle.
-    std::vector<std::uint64_t> actSeenEpoch_;
-    std::vector<RowId> actSeenRow_;
-    std::vector<std::uint64_t> preSeenEpoch_;
-    std::uint64_t enumEpoch_ = 0;
+    /** Both queues' requests by bank, maintained on push/remove. */
+    BankIndex index_;
 };
 
 } // namespace nuat

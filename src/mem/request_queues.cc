@@ -1,57 +1,79 @@
 #include "request_queues.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace nuat {
 
 void
-RowDemandTracker::reset(unsigned ranks, unsigned banks)
+BankIndex::reset(unsigned ranks, unsigned banks)
 {
     banks_ = banks;
     perBank_.assign(static_cast<std::size_t>(ranks) * banks, {});
     bankCount_.assign(static_cast<std::size_t>(ranks) * banks, 0);
+    active_.clear();
 }
 
 void
-RowDemandTracker::add(const Request &req)
+BankIndex::add(Request &req)
 {
-    auto &list = perBank_[req.rank.value() * banks_ + req.bank.value()];
-    ++bankCount_[req.rank.value() * banks_ + req.bank.value()];
-    for (auto &d : list) {
-        if (d.row == req.row) {
-            ++d.count;
+    const std::size_t flat = flatBank(req.rank, req.bank);
+    Bank &b = perBank_[flat];
+    if (bankCount_[flat]++ == 0) {
+        b.activePos = active_.size();
+        active_.push_back(flat);
+    }
+    (req.isWrite ? b.writes : b.reads).push_back(&req);
+    for (auto &r : b.rows) {
+        if (r.row == req.row) {
+            ++(req.isWrite ? r.demand.writes : r.demand.reads);
             return;
         }
     }
-    list.push_back(RowDemand{req.row, 1});
+    b.rows.push_back(RowCount{req.row, req.isWrite ? RowDemand{0, 1}
+                                                   : RowDemand{1, 0}});
 }
 
 void
-RowDemandTracker::remove(const Request &req)
+BankIndex::remove(const Request &req)
 {
-    auto &list = perBank_[req.rank.value() * banks_ + req.bank.value()];
-    for (auto &d : list) {
-        if (d.row == req.row) {
-            --bankCount_[req.rank.value() * banks_ + req.bank.value()];
-            if (--d.count == 0) {
-                d = list.back();
-                list.pop_back();
+    const std::size_t flat = flatBank(req.rank, req.bank);
+    Bank &b = perBank_[flat];
+    std::vector<Request *> &list = req.isWrite ? b.writes : b.reads;
+    const auto it = std::find(list.begin(), list.end(), &req);
+    if (it == list.end()) {
+        nuat_panic("removing request %llu that is not indexed",
+                   static_cast<unsigned long long>(req.id));
+    }
+    list.erase(it);
+    for (auto &r : b.rows) {
+        if (r.row == req.row) {
+            --(req.isWrite ? r.demand.writes : r.demand.reads);
+            if (r.demand.total() == 0) {
+                r = b.rows.back();
+                b.rows.pop_back();
             }
-            return;
+            break;
         }
     }
-    nuat_panic("removing request %llu with no tracked row demand",
-               static_cast<unsigned long long>(req.id));
+    if (--bankCount_[flat] == 0) {
+        // Swap-remove from the active list, repointing the moved bank.
+        const std::size_t moved = active_.back();
+        active_[b.activePos] = moved;
+        perBank_[moved].activePos = b.activePos;
+        active_.pop_back();
+    }
 }
 
-unsigned
-RowDemandTracker::demandFor(RankId rank, BankId bank, RowId row) const
+BankIndex::RowDemand
+BankIndex::demandFor(std::size_t flat, RowId row) const
 {
-    for (const auto &d : perBank_[rank.value() * banks_ + bank.value()]) {
-        if (d.row == row)
-            return d.count;
+    for (const auto &r : perBank_[flat].rows) {
+        if (r.row == row)
+            return r.demand;
     }
-    return 0;
+    return RowDemand{};
 }
 
 RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity)
@@ -60,18 +82,18 @@ RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity)
 }
 
 void
-RequestQueue::attachDemandTracker(RowDemandTracker *tracker)
+RequestQueue::attachBankIndex(BankIndex *index)
 {
     nuat_assert(queue_.empty(), "(attach while the queue holds requests)");
-    demand_ = tracker;
+    index_ = index;
 }
 
 void
 RequestQueue::push(std::unique_ptr<Request> req)
 {
     nuat_assert(hasRoom(), "(queue overflow: caller must check hasRoom)");
-    if (demand_)
-        demand_->add(*req);
+    if (index_)
+        index_->add(*req);
     queue_.push_back(std::move(req));
 }
 
@@ -98,23 +120,13 @@ RequestQueue::remove(const Request *req)
         if (it->get() == req) {
             std::unique_ptr<Request> out = std::move(*it);
             queue_.erase(it);
-            if (demand_)
-                demand_->remove(*out);
+            if (index_)
+                index_->remove(*out);
             return out;
         }
     }
     nuat_panic("request %llu not in queue",
                static_cast<unsigned long long>(req->id));
-}
-
-bool
-RequestQueue::hasRowHit(RankId rank, BankId bank, RowId row) const
-{
-    for (const auto &r : queue_) {
-        if (r->rank == rank && r->bank == bank && r->row == row)
-            return true;
-    }
-    return false;
 }
 
 } // namespace nuat

@@ -22,55 +22,88 @@
 namespace nuat {
 
 /**
- * Incremental per-(rank,bank) row-demand counts over one or more
- * request queues.
+ * The queued requests of one or more request queues, filed by (rank,
+ * bank), maintained on push/remove.
  *
- * The controller's candidate enumeration needs, every cycle, the
- * number of queued requests targeting each (rank, bank, row) — to
- * suppress precharges of rows with pending hits and to tell close-page
- * policies whether a column access is the row's last pending one.
- * Rebuilding that map from both queues each cycle dominates the tick;
- * instead the queues it is attached to update it on push/remove, so
- * lookups are allocation-free and O(rows pending in the bank).
+ * Candidate enumeration works bank by bank: it checks each command a
+ * bank needs once, and walks the bank's requests only when that command
+ * is legal.  So the index keeps, per bank, its reads and its writes in
+ * arrival order and its queued reads and writes per row, plus the list
+ * of banks with any demand.  Refresh policies read a bank's total
+ * demand.  Every lookup is allocation-free: the per-bank vectors keep
+ * their capacity, so steady state never allocates.
  */
-class RowDemandTracker
+class BankIndex
 {
   public:
-    /** Size for @p ranks x @p banks; drops all counts. */
-    void reset(unsigned ranks, unsigned banks);
-
-    /** Count @p req (called by RequestQueue::push). */
-    void add(const Request &req);
-
-    /** Uncount @p req (called by RequestQueue::remove). */
-    void remove(const Request &req);
-
-    /** Queued requests targeting @p row of (@p rank, @p bank). */
-    unsigned demandFor(RankId rank, BankId bank, RowId row) const;
-
-    /**
-     * Queued requests targeting (@p rank, @p bank), any row.  O(1) —
-     * refresh policies consult this every (rank, bank) every tick to
-     * decide whether a bank is idle enough to pull its REFsb forward.
-     */
-    unsigned bankDemand(RankId rank, BankId bank) const
-    {
-        return bankCount_[rank.value() * banks_ + bank.value()];
-    }
-
-  private:
+    /** Queued reads and writes to one row of a bank. */
     struct RowDemand
     {
+        unsigned reads = 0;
+        unsigned writes = 0;
+
+        unsigned total() const { return reads + writes; }
+    };
+
+    /** Size for @p ranks x @p banks; drops every request. */
+    void reset(unsigned ranks, unsigned banks);
+
+    /** File @p req (called by RequestQueue::push); req.isWrite picks
+     *  the bank's read or write list. */
+    void add(Request &req);
+
+    /** Unfile @p req (called by RequestQueue::remove). */
+    void remove(const Request &req);
+
+    /** Flat index of (@p rank, @p bank): rank * banks + bank. */
+    std::size_t flatBank(RankId rank, BankId bank) const
+    {
+        return rank.value() * banks_ + bank.value();
+    }
+
+    /** Queued requests targeting @p row of bank @p flat. */
+    RowDemand demandFor(std::size_t flat, RowId row) const;
+
+    /** Queued requests targeting bank @p flat, any row.  Refresh
+     *  policies ask it for every bank on every scan, so it reads one
+     *  compact array. */
+    unsigned bankDemand(std::size_t flat) const { return bankCount_[flat]; }
+
+    /** Bank @p flat's queued reads, in arrival order. */
+    const std::vector<Request *> &reads(std::size_t flat) const
+    {
+        return perBank_[flat].reads;
+    }
+
+    /** Bank @p flat's queued writes, in arrival order. */
+    const std::vector<Request *> &writes(std::size_t flat) const
+    {
+        return perBank_[flat].writes;
+    }
+
+    /** Flat indices of the banks with queued requests, each once, in
+     *  no particular order. */
+    const std::vector<std::size_t> &activeBanks() const { return active_; }
+
+  private:
+    struct RowCount
+    {
         RowId row;
-        unsigned count;
+        RowDemand demand;
+    };
+
+    struct Bank
+    {
+        std::vector<Request *> reads;
+        std::vector<Request *> writes;
+        std::vector<RowCount> rows; //!< rows with demand, any order
+        std::size_t activePos = 0;  //!< slot in active_ while queued
     };
 
     unsigned banks_ = 0;
-    /** Indexed rank * banks_ + bank; inner vectors keep their
-     *  capacity across swap-removes, so steady state never allocates. */
-    std::vector<std::vector<RowDemand>> perBank_;
-    /** Per-(rank,bank) totals, same indexing. */
-    std::vector<unsigned> bankCount_;
+    std::vector<Bank> perBank_;       //!< indexed by flatBank()
+    std::vector<unsigned> bankCount_; //!< requests per bank, same index
+    std::vector<std::size_t> active_;
 };
 
 /** A bounded FIFO of requests (arrival order preserved). */
@@ -80,9 +113,9 @@ class RequestQueue
     /** @param capacity maximum simultaneously queued requests */
     explicit RequestQueue(std::size_t capacity);
 
-    /** Mirror queue contents into @p tracker (may be shared with other
+    /** File queue contents in @p index (may be shared with other
      *  queues; must outlive this queue; attach while empty). */
-    void attachDemandTracker(RowDemandTracker *tracker);
+    void attachBankIndex(BankIndex *index);
 
     /** True when another request can be accepted. */
     bool hasRoom() const { return queue_.size() < capacity_; }
@@ -112,13 +145,10 @@ class RequestQueue
     auto begin() const { return queue_.begin(); }
     auto end() const { return queue_.end(); }
 
-    /** True when any queued request targets @p row of rank/bank. */
-    bool hasRowHit(RankId rank, BankId bank, RowId row) const;
-
   private:
     std::size_t capacity_;
     std::deque<std::unique_ptr<Request>> queue_;
-    RowDemandTracker *demand_ = nullptr;
+    BankIndex *index_ = nullptr;
 };
 
 } // namespace nuat

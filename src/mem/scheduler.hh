@@ -5,10 +5,15 @@
  *
  * Every memory cycle that can have one, the controller enumerates all
  * *issuable-now* candidate commands (the next required command of each
- * queued request) and asks the scheduler to pick one.  The scheduler may also decorate
- * the chosen command: convert a column access to its auto-precharge
- * flavour (page-mode policy) or tighten an ACT's timing (NUAT's
- * charge-aware derating).
+ * queued request) and asks the scheduler to pick one.  The scheduler
+ * may also decorate the chosen command: convert a column access to its
+ * auto-precharge flavour (page-mode policy) or tighten an ACT's timing
+ * (NUAT's charge-aware derating).
+ *
+ * Order contract: the candidates arrive in queue order, reads before
+ * writes and each direction by Request::id (arrival order), with at
+ * most one candidate per request.  Every scheduler gives a full tie to
+ * the earlier candidate, so this order is part of every schedule.
  */
 
 #ifndef NUAT_MEM_SCHEDULER_HH
@@ -28,7 +33,11 @@ namespace nuat {
 struct RunResult;
 class MetricRegistry;
 
-/** One issuable command together with its driving request. */
+/**
+ * One issuable command together with its driving request.  A candidate
+ * list holds at most one per request, in queue order: reads before
+ * writes, each by Request::id (see the file comment).
+ */
 struct Candidate
 {
     Command cmd;          //!< fully specified, legal at the current cycle
