@@ -1,6 +1,7 @@
 #include "memory_controller.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -157,14 +158,44 @@ MemoryController::makeContext(Cycle now) const
     return ctx;
 }
 
+Request
+MemoryController::makeRequest(bool is_write, Addr line, Cycle now)
+{
+    Request req;
+    req.id = nextRequestId_++;
+    req.isWrite = is_write;
+    req.addr = line;
+    const DramCoord c = mapping_.decompose(line);
+    req.rank = c.rank;
+    req.bank = c.bank;
+    req.row = c.row;
+    req.col = c.col;
+    req.arrivalAt = now;
+    return req;
+}
+
+MemoryController::PendingCompletion &
+MemoryController::addInFlight(Cycle data_at, Addr line)
+{
+    if (liveInFlight_ == inFlight_.size())
+        inFlight_.emplace_back();
+    PendingCompletion &f = inFlight_[liveInFlight_++];
+    f.dataAt = data_at;
+    f.addr = line;
+    f.waiters.clear();
+    return f;
+}
+
 bool
 MemoryController::canAcceptRead(Addr addr) const
 {
     const Addr line = lineAddr(addr);
     if (writeQ_.findLine(line) || readQ_.findLine(line))
         return true; // forwarded or merged; no new queue slot needed
-    for (const auto &f : inFlight_) {
-        if (f.addr == line)
+    // A linear scan: few reads are in flight, and of several entries
+    // for one line (forwarded reads) a merge takes the first.
+    for (std::size_t i = 0; i < liveInFlight_; ++i) {
+        if (inFlight_[i].addr == line)
             return true; // merges onto the in-flight access
     }
     return readQ_.hasRoom();
@@ -192,8 +223,7 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
         stats_.readLatencySum += static_cast<double>(cfg_.forwardLatency);
         stats_.readLatencyHist.sample(
             static_cast<double>(cfg_.forwardLatency));
-        inFlight_.push_back(
-            PendingCompletion{now + cfg_.forwardLatency, line, {waiter}});
+        addInFlight(now + cfg_.forwardLatency, line).waiters.push_back(waiter);
         return;
     }
 
@@ -203,27 +233,16 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
         pending->waiters.push_back(waiter);
         return;
     }
-    for (auto &f : inFlight_) {
-        if (f.addr == line) {
+    for (std::size_t i = 0; i < liveInFlight_; ++i) {
+        if (inFlight_[i].addr == line) {
             ++stats_.readsMerged;
-            f.waiters.push_back(waiter);
+            inFlight_[i].waiters.push_back(waiter);
             return;
         }
     }
 
     nuat_assert(readQ_.hasRoom(), "(enqueueRead without canAcceptRead)");
-    auto req = std::make_unique<Request>();
-    req->id = nextRequestId_++;
-    req->isWrite = false;
-    req->addr = line;
-    const DramCoord c = mapping_.decompose(line);
-    req->rank = c.rank;
-    req->bank = c.bank;
-    req->row = c.row;
-    req->col = c.col;
-    req->arrivalAt = now;
-    req->waiters.push_back(waiter);
-    readQ_.push(std::move(req));
+    readQ_.push(makeRequest(false, line, now)).waiters.push_back(waiter);
     quietUntil_ = 0; // a new request may be issuable at once
 }
 
@@ -240,32 +259,24 @@ MemoryController::enqueueWrite(Addr addr, Cycle now)
     }
 
     nuat_assert(writeQ_.hasRoom(), "(enqueueWrite without canAcceptWrite)");
-    auto req = std::make_unique<Request>();
-    req->id = nextRequestId_++;
-    req->isWrite = true;
-    req->addr = line;
-    const DramCoord c = mapping_.decompose(line);
-    req->rank = c.rank;
-    req->bank = c.bank;
-    req->row = c.row;
-    req->col = c.col;
-    req->arrivalAt = now;
-    writeQ_.push(std::move(req));
+    writeQ_.push(makeRequest(true, line, now));
     quietUntil_ = 0; // a new request may be issuable at once
 }
 
 void
 MemoryController::processCompletions(Cycle now)
 {
-    for (std::size_t i = 0; i < inFlight_.size();) {
-        if (inFlight_[i].dataAt <= now) {
+    for (std::size_t i = 0; i < liveInFlight_;) {
+        PendingCompletion &f = inFlight_[i];
+        if (f.dataAt <= now) {
             if (readCallback_) {
-                for (const Waiter &w : inFlight_[i].waiters)
-                    readCallback_(w, inFlight_[i].addr,
-                                  inFlight_[i].dataAt);
+                for (const Waiter &w : f.waiters)
+                    readCallback_(w, f.addr, f.dataAt);
             }
-            inFlight_[i] = std::move(inFlight_.back());
-            inFlight_.pop_back();
+            // Swap-remove with the last live entry; the finished one
+            // stays behind the live ones for reuse.
+            if (i != --liveInFlight_)
+                std::swap(f, inFlight_[liveInFlight_]);
         } else {
             ++i;
         }
@@ -450,8 +461,8 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out,
     for (const std::size_t flat : index_.activeBanks()) {
         if (verdict_[flat] != kNoRefresh)
             continue; // rank (or this bank) is draining for refresh
-        const std::vector<Request *> &reads = index_.reads(flat);
-        const std::vector<Request *> &writes = index_.writes(flat);
+        const BankIndex::List &reads = index_.reads(flat);
+        const BankIndex::List &writes = index_.writes(flat);
         Command cmd;
         cmd.rank = RankId{static_cast<unsigned>(flat / banks)};
         cmd.bank = BankId{static_cast<unsigned>(flat % banks)};
@@ -496,8 +507,8 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out,
         // requests wait behind their column commands.
         cmd.row = open;
         const bool more = hits.total() > 1;
-        auto columns = [&](const std::vector<Request *> &list,
-                           unsigned count, CmdType type) {
+        auto columns = [&](const BankIndex::List &list, unsigned count,
+                           CmdType type) {
             cmd.type = type;
             if (count == 0 || !legal(cmd))
                 return;
@@ -559,25 +570,26 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
         break;
       case CmdType::kRead:
       case CmdType::kReadAp: {
-        std::unique_ptr<Request> req = readQ_.remove(cand.req);
+        Request &req = *cand.req;
         ++stats_.readsCompleted;
         stats_.readLatencySum +=
-            static_cast<double>(result.dataAt - req->arrivalAt);
+            static_cast<double>(result.dataAt - req.arrivalAt);
         stats_.readLatencyHist.sample(
-            static_cast<double>(result.dataAt - req->arrivalAt));
-        if (!req->hadOwnAct)
+            static_cast<double>(result.dataAt - req.arrivalAt));
+        if (!req.hadOwnAct)
             ++stats_.rowHitReads;
-        inFlight_.push_back(PendingCompletion{result.dataAt, req->addr,
-                                              std::move(req->waiters)});
+        // The waiters move by a buffer swap; the slot keeps the entry's
+        // old buffer for its next request.
+        addInFlight(result.dataAt, req.addr).waiters.swap(req.waiters);
+        readQ_.remove(&req);
         break;
       }
       case CmdType::kWrite:
-      case CmdType::kWriteAp: {
-        std::unique_ptr<Request> req = writeQ_.remove(cand.req);
-        if (!req->hadOwnAct)
+      case CmdType::kWriteAp:
+        if (!cand.req->hadOwnAct)
             ++stats_.rowHitWrites;
+        writeQ_.remove(cand.req);
         break;
-      }
       case CmdType::kRef:
       case CmdType::kRefsb:
         nuat_panic("refresh must not come from the scheduler");
@@ -648,17 +660,15 @@ Cycle
 MemoryController::nextCompletionAt() const
 {
     Cycle earliest = kNeverCycle;
-    for (const auto &f : inFlight_) {
-        if (f.dataAt < earliest)
-            earliest = f.dataAt;
-    }
+    for (std::size_t i = 0; i < liveInFlight_; ++i)
+        earliest = std::min(earliest, inFlight_[i].dataAt);
     return earliest;
 }
 
 bool
 MemoryController::idle() const
 {
-    return readQ_.empty() && writeQ_.empty() && inFlight_.empty();
+    return readQ_.empty() && writeQ_.empty() && liveInFlight_ == 0;
 }
 
 } // namespace nuat

@@ -137,7 +137,7 @@ struct ControllerStats
     void merge(const ControllerStats &other);
 };
 
-/** One DDR3 channel controller. */
+/** One channel's controller, for every DRAM preset and refresh mode. */
 class MemoryController : public MemoryPort
 {
   public:
@@ -215,7 +215,7 @@ class MemoryController : public MemoryPort
     std::size_t readQueueLen() const { return readQ_.size(); }
     std::size_t writeQueueLen() const { return writeQ_.size(); }
 
-    /** The queued requests, in arrival order (read-only). */
+    /** The queued requests (read-only). */
     const RequestQueue &readQueue() const { return readQ_; }
     const RequestQueue &writeQueue() const { return writeQ_; }
 
@@ -242,6 +242,13 @@ class MemoryController : public MemoryPort
 
     Addr lineAddr(Addr addr) const;
     SchedContext makeContext(Cycle now) const;
+
+    /** A request for line @p line arriving at @p now, ready to push. */
+    Request makeRequest(bool is_write, Addr line, Cycle now);
+
+    /** Start an in-flight entry for @p line, due at @p data_at, with no
+     *  waiters: a recycled entry if one is free. */
+    PendingCompletion &addInFlight(Cycle data_at, Addr line);
 
     /** Deliver finished reads whose data has arrived by @p now. */
     void processCompletions(Cycle now);
@@ -329,7 +336,14 @@ class MemoryController : public MemoryPort
 
     RequestQueue readQ_;
     RequestQueue writeQ_;
+
+    /**
+     * In-flight reads: the first liveInFlight_ entries, in the order a
+     * completion's swap-remove leaves them.  The entries past them are
+     * finished and kept for reuse with their waiter buffers.
+     */
     std::vector<PendingCompletion> inFlight_;
+    std::size_t liveInFlight_ = 0;
     ReadCallback readCallback_;
 
     std::uint64_t nextRequestId_ = 1;

@@ -44,6 +44,14 @@ struct Request
     /** True once an ACT has been issued specifically for this request
      *  (used for row-buffer hit accounting). */
     bool hadOwnAct = false;
+
+    /**
+     * Links of the BankIndex list this request is filed in (its bank's
+     * reads or writes, in arrival order).  While the request's queue
+     * slot is free, next links the queue's free list instead.
+     */
+    Request *prev = nullptr;
+    Request *next = nullptr;
 };
 
 } // namespace nuat

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -360,6 +361,18 @@ TEST(ControllerQuietTicks, DarpAndSarpDeferToTheForcedDeadline)
     }
 }
 
+/** @p q's requests in arrival (Request::id) order. */
+std::vector<Request *>
+inArrivalOrder(const RequestQueue &q)
+{
+    std::vector<Request *> out;
+    q.forEach([&](Request &r) { out.push_back(&r); });
+    std::sort(out.begin(), out.end(), [](const Request *a, const Request *b) {
+        return a->id < b->id;
+    });
+    return out;
+}
+
 /**
  * The candidates at @p now by the request-major rule: walk the read
  * queue, then the write queue, in order, skipping banks that owe an
@@ -377,12 +390,12 @@ referenceCandidates(const MemoryController &mc, Cycle now)
         static_cast<std::size_t>(dev.geometry().ranks) * banks;
     std::vector<RowId> last_act(flat_banks, kNoRow);
     std::vector<bool> pre_seen(flat_banks, false);
-    const std::vector<const RequestQueue *> queues{&mc.readQueue(),
-                                                   &mc.writeQueue()};
+    const std::vector<Request *> queues[] = {inArrivalOrder(mc.readQueue()),
+                                             inArrivalOrder(mc.writeQueue())};
     auto demand = [&](const Request &req, RowId row) {
         unsigned count = 0;
-        for (const RequestQueue *q : queues) {
-            for (const auto &r : *q) {
+        for (const std::vector<Request *> &q : queues) {
+            for (const Request *r : q) {
                 if (r->rank == req.rank && r->bank == req.bank &&
                     r->row == row)
                     ++count;
@@ -394,9 +407,8 @@ referenceCandidates(const MemoryController &mc, Cycle now)
                             dev.timing().tRC};
 
     std::vector<Candidate> out;
-    for (const RequestQueue *q : queues) {
-        for (const auto &owned : *q) {
-            Request *req = owned.get();
+    for (const std::vector<Request *> &q : queues) {
+        for (Request *req : q) {
             if (dev.refreshFor(req->rank, req->bank).due(now))
                 continue;
             const std::size_t flat =
@@ -555,12 +567,12 @@ class ReferenceCheck : public Scheduler
                 unsigned dirs = 0;
                 for (const RequestQueue *q :
                      {&mc_->readQueue(), &mc_->writeQueue()}) {
-                    for (const auto &r : *q) {
-                        if (r->rank == c.cmd.rank && r->bank == c.cmd.bank) {
-                            ++dirs;
-                            break;
-                        }
-                    }
+                    bool any = false;
+                    q->forEach([&](const Request &r) {
+                        any = any || (r.rank == c.cmd.rank &&
+                                      r.bank == c.cmd.bank);
+                    });
+                    dirs += any;
                 }
                 sharedPres += dirs == 2;
             }

@@ -7,11 +7,14 @@
 # tools/nuat_serve (targets nuat_sim_cli and nuat_serve).  The script
 # runs one grid of cells with both builds' binaries:
 #
-#  - 270 audited `nuat_sim --csv --dump-trace` cells, 4000 ops per core:
+#  - 290 audited `nuat_sim --csv --dump-trace` cells, 4000 ops per core:
 #    5 schedulers x DDR3/DDR4/DDR5 x {all-bank, per-bank inorder/DARP/
 #    SARP} x 2 workload mixes x 1 or 2 channels (240), plus 5 fault
-#    profiles x 3 schedulers x 2 mixes (30).  Stdout and the command
-#    trace must match byte for byte.
+#    profiles x 3 schedulers x 2 mixes (30), plus 20 saturated cells:
+#    perfbench's two mc8-contended 8-core mixes on one channel x 5
+#    schedulers x {DDR3 all-bank, DDR5 per-bank SARP}, the only sim
+#    cells that fill the read queue.  Stdout and the command trace must
+#    match byte for byte.
 #  - 49 deterministic audited `nuat_serve --json` cells, 4000 requests
 #    per producer: 5 schedulers x 1/2/4 shards x block/bounded/shed
 #    admission (45), plus the 4 built-in chaos profiles.  The JSON must
@@ -126,6 +129,22 @@ for sched in "${schedulers[@]}"; do
                              --channels "$channels"
                 done
             done
+        done
+    done
+done
+
+# Eight cores on one channel keep both queues deep; the streaming-write
+# mix fills the read queue, so reads wait on a full queue.
+saturated=(mummer,tigr,MT-canneal,comm1,comm2,black,freq,swapt
+           libq,stream,MT-fluid,ferret,face,comm3,fluid,leslie)
+for sched in "${schedulers[@]}"; do
+    for gen in ddr3-1600:all-bank ddr5-4800:per-bank; do
+        args=(--scheduler "$sched" --dram-gen "${gen%%:*}"
+              --refresh-mode "${gen#*:}")
+        [[ "${gen#*:}" == all-bank ]] || args+=(--refresh-policy sarp)
+        for mix in "${saturated[@]}"; do
+            sim_cell "sim saturated $sched $gen ${mix%%,*}-mix" \
+                     "${args[@]}" --workloads "$mix"
         done
     done
 done
