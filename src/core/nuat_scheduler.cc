@@ -203,14 +203,14 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
     // One pass: score each candidate, lift an over-age request above
     // every table score (starvation escape, see
     // NuatConfig::starvationLimit), and keep the argmax; equal scores
-    // (two starving requests included) break oldest arrival first.
+    // (two starving requests included) break by the queue key, oldest
+    // arrival first.
     const double boost =
         10.0 * (table_.weights().w1 + 2.0 * table_.weights().w3);
     const Cycle starve_limit = cfg_.starvationLimit;
     const bool draining = drain_.draining();
     int best = -1;
     double best_score = 0.0;
-    Cycle best_arrival = kNeverCycle;
     ScoreInputs best_in;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         const Candidate &c = candidates[i];
@@ -231,12 +231,11 @@ NuatScheduler::pick(std::vector<Candidate> &candidates,
         double s = table_.score(in);
         if (starve_limit > 0 && in.waitCycles > starve_limit)
             s += boost;
-        const Cycle arrival = c.req ? c.req->arrivalAt : kNeverCycle;
         if (best < 0 || s > best_score ||
-            (s == best_score && arrival < best_arrival)) {
+            (s == best_score &&
+             queuedBefore(c, candidates[static_cast<std::size_t>(best)]))) {
             best = static_cast<int>(i);
             best_score = s;
-            best_arrival = arrival;
             best_in = in;
         }
     }

@@ -135,18 +135,6 @@ DramDevice::nextRefreshDueAt(RankId rank_idx) const
     return due;
 }
 
-bool
-DramDevice::refsbInFlight(Cycle now) const
-{
-    for (const auto &r : ranks_) {
-        for (const Cycle until : r.refsbBusyUntil) {
-            if (now < until)
-                return true;
-        }
-    }
-    return false;
-}
-
 RowTiming
 DramDevice::trueRowTiming(RankId rank_idx, BankId bank_idx, RowId row,
                           Cycle now) const
@@ -415,6 +403,7 @@ DramDevice::issue(const Command &cmd, Cycle now)
         }
         eng.performRefresh(now);
         r.refsbBusyUntil[cmd.bank.value()] = now + tp_.tRFCpb;
+        refsbEndsAt_ = now + tp_.tRFCpb;
         r.lastRefsbAt = now;
         r.banks[cmd.bank.value()].onRefresh(
             r.refsbBusyUntil[cmd.bank.value()]);

@@ -178,7 +178,7 @@ class DramDevice
 
     /** True when any bank's REFsb tRFCpb window covers @p now (the
      *  refresh shadow SARP drains writes into). */
-    bool refsbInFlight(Cycle now) const;
+    bool refsbInFlight(Cycle now) const { return now < refsbEndsAt_; }
 
     /**
      * The row's true minimum activation timing at @p now, from the
@@ -241,6 +241,13 @@ class DramDevice
     Cycle wrIssueOkAt_ = 0;         //!< channel data-bus gate for writes
     RankId lastDataRank_{0};        //!< owner of the last data burst
     Cycle lastDataEndAt_ = 0;       //!< end of the last data burst
+
+    /**
+     * End of the latest REFsb's tRFCpb window, on any rank.  REFsbs
+     * issue in time order with one tRFCpb, so it is the latest
+     * RankState::refsbBusyUntil, which legality still reads.
+     */
+    Cycle refsbEndsAt_ = 0;
 
     DeviceCounters counters_;
     std::vector<CommandObserver *> observers_;

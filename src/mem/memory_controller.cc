@@ -117,7 +117,7 @@ MemoryController::MemoryController(DramDevice &dev,
     index_.reset(ranks, banks);
     readQ_.attachBankIndex(&index_);
     writeQ_.attachBankIndex(&index_);
-    verdict_.assign(static_cast<std::size_t>(ranks) * banks, kNoRefresh);
+    verdict_.assign(static_cast<std::size_t>(ranks) * banks, {});
 
     // Out-of-order refresh policies only exist on the REFsb substrate;
     // under all-bank REF the config knob degenerates to in-order.
@@ -242,7 +242,9 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
     }
 
     nuat_assert(readQ_.hasRoom(), "(enqueueRead without canAcceptRead)");
-    readQ_.push(makeRequest(false, line, now)).waiters.push_back(waiter);
+    Request &req = readQ_.push(makeRequest(false, line, now));
+    req.waiters.push_back(waiter);
+    queuesChanged(req.rank, req.bank, true);
     quietUntil_ = 0; // a new request may be issuable at once
 }
 
@@ -259,8 +261,28 @@ MemoryController::enqueueWrite(Addr addr, Cycle now)
     }
 
     nuat_assert(writeQ_.hasRoom(), "(enqueueWrite without canAcceptWrite)");
-    writeQ_.push(makeRequest(true, line, now));
+    const Request &req = writeQ_.push(makeRequest(true, line, now));
+    queuesChanged(req.rank, req.bank, true);
     quietUntil_ = 0; // a new request may be issuable at once
+}
+
+void
+MemoryController::queuesChanged(RankId rank, BankId bank, bool pushed)
+{
+    if (policy_ == RefreshPolicy::kInOrder)
+        return;
+    // After a push, one request marks the start of demand; after a
+    // removal, none marks its end.
+    const std::size_t edge = pushed ? 1 : 0;
+    if (readQ_.size() + writeQ_.size() == edge) {
+        for (BankRefreshVerdict &v : verdict_)
+            v.changeAt = 0;
+        verdictsChangeAt_ = 0;
+        return;
+    }
+    const std::size_t flat = index_.flatBank(rank, bank);
+    if (index_.bankDemand(flat) == edge)
+        staleVerdict(flat);
 }
 
 void
@@ -308,8 +330,10 @@ MemoryController::handleRefresh(Cycle now, Cycle &wake)
         const RefreshEngine &eng = dev_.refresh(rank);
         // An all-bank REF owes every bank of the rank at once.
         const bool due = eng.due(now);
-        for (unsigned b = 0; b < banks; ++b)
-            verdict_[r * banks + b] = due ? kRefreshOwed : kNoRefresh;
+        for (unsigned b = 0; b < banks; ++b) {
+            verdict_[r * banks + b].verdict =
+                due ? RefreshVerdict::kOwed : RefreshVerdict::kNone;
+        }
         if (!due) {
             wake = std::min(wake, eng.nextDueAt());
             continue;
@@ -358,47 +382,9 @@ MemoryController::tryRefreshBank(RankId rank, BankId bank, Cycle now,
         return false;
     if (cmd.type == CmdType::kPre)
         ++stats_.forcedPres;
+    else
+        staleVerdict(index_.flatBank(rank, bank)); // a new deadline
     return true;
-}
-
-MemoryController::RefreshVerdict
-MemoryController::refreshVerdict(RankId rank, BankId bank, Cycle now,
-                                 Cycle &wake) const
-{
-    const RefreshEngine &eng = dev_.refreshFor(rank, bank);
-    if (policy_ == RefreshPolicy::kInOrder) {
-        if (eng.due(now))
-            return kRefreshOwed;
-        wake = std::min(wake, eng.nextDueAt());
-        return kNoRefresh;
-    }
-
-    // DARP/SARP: once the postponement deadline is within forceMargin_,
-    // it overrides everything.
-    const Cycle deadline = eng.deadlineAt();
-    const Cycle forced_at =
-        deadline > forceMargin_ ? deadline - forceMargin_ : 0;
-    if (now >= forced_at)
-        return kRefreshForced;
-    // Defer: the bank has queued demand and window to spare.
-    if (index_.bankDemand(index_.flatBank(rank, bank)) > 0) {
-        wake = std::min(wake, forced_at);
-        return kNoRefresh;
-    }
-    // No demand for this bank.  At the nominal deadline, refresh — a
-    // fully idle system must keep the in-order cadence (the idle
-    // fast-forward jumps to exactly these deadlines).
-    if (eng.due(now))
-        return kRefreshOwed;
-    // Pull in: only while the controller is busy elsewhere.  An idle
-    // controller must not refresh early — the fast-forward skips spans
-    // where provably nothing happens, and results must be identical
-    // with the optimization off.  Both bounds lie before forced_at.
-    const bool busy = readQ_.size() + writeQ_.size() != 0;
-    if (busy && eng.canPullIn(now))
-        return kRefreshOwed;
-    wake = std::min(wake, busy ? eng.earliestIssueAt() : eng.nextDueAt());
-    return kNoRefresh;
 }
 
 bool
@@ -414,21 +400,39 @@ MemoryController::handlePerBankRefresh(Cycle now, Cycle &wake)
     auto bankOf = [&](std::size_t i) {
         return BankId{static_cast<unsigned>(i % banks)};
     };
-    bool any_owed = false;
-    for (std::size_t i = 0; i < verdict_.size(); ++i) {
-        verdict_[i] = refreshVerdict(rankOf(i), bankOf(i), now, wake);
-        any_owed = any_owed || verdict_[i] != kNoRefresh;
+    // Without quiet ticks every bank is re-evaluated on every tick:
+    // the reference the fast-forward differential tests compare with.
+    const bool every = !cfg_.idleFastForward;
+    if (every || now >= verdictsChangeAt_) {
+        const bool busy = !readQ_.empty() || !writeQ_.empty();
+        Cycle next = kNeverCycle;
+        bool wanted = false;
+        for (std::size_t i = 0; i < verdict_.size(); ++i) {
+            BankRefreshVerdict &v = verdict_[i];
+            if (every || now >= v.changeAt) {
+                v = refreshVerdict(policy_,
+                                   dev_.refreshFor(rankOf(i), bankOf(i)),
+                                   forceMargin_, index_.bankDemand(i) > 0,
+                                   busy, now);
+            }
+            next = std::min(next, v.changeAt);
+            wanted = wanted || v.verdict != RefreshVerdict::kNone;
+        }
+        verdictsChangeAt_ = next;
+        refreshWanted_ = wanted;
     }
-    if (!any_owed)
+    wake = std::min(wake, verdictsChangeAt_);
+    if (!refreshWanted_)
         return false;
 
     // Deadline-critical banks first — they can no longer be deferred,
     // so they must not lose the slot to an opportunistic pull-in
     // elsewhere.  Then everything else the policy approves (due
     // banks, pull-ins).  kInOrder never forces.
-    for (const RefreshVerdict pass : {kRefreshForced, kRefreshOwed}) {
+    for (const RefreshVerdict pass :
+         {RefreshVerdict::kForced, RefreshVerdict::kOwed}) {
         for (std::size_t i = 0; i < verdict_.size(); ++i) {
-            if (verdict_[i] == pass &&
+            if (verdict_[i].verdict == pass &&
                 tryRefreshBank(rankOf(i), bankOf(i), now, wake))
                 return true;
         }
@@ -459,7 +463,7 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out,
     };
 
     for (const std::size_t flat : index_.activeBanks()) {
-        if (verdict_[flat] != kNoRefresh)
+        if (verdict_[flat].verdict != RefreshVerdict::kNone)
             continue; // rank (or this bank) is draining for refresh
         const BankIndex::List &reads = index_.reads(flat);
         const BankIndex::List &writes = index_.writes(flat);
@@ -523,18 +527,6 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out,
         columns(writes, hits.writes, CmdType::kWrite);
     }
 
-    // Queue order: reads before writes, each by arrival (request id).
-    // Schedulers break full ties toward the earlier candidate, so this
-    // order is part of the result (see scheduler.hh).
-    if (out.size() > 1) {
-        std::sort(out.begin(), out.end(),
-                  [](const Candidate &a, const Candidate &b) {
-                      if (a.isWrite != b.isWrite)
-                          return b.isWrite;
-                      return a.req->id < b.req->id;
-                  });
-    }
-
     // SARP write-drain shadowing: while some bank sits in its tRFCpb
     // window, steer the slot toward the write queue — the drain hides
     // inside the refresh shadow instead of stealing read bandwidth
@@ -582,6 +574,7 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
         // old buffer for its next request.
         addInFlight(result.dataAt, req.addr).waiters.swap(req.waiters);
         readQ_.remove(&req);
+        queuesChanged(cand.cmd.rank, cand.cmd.bank, false);
         break;
       }
       case CmdType::kWrite:
@@ -589,6 +582,7 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
         if (!cand.req->hadOwnAct)
             ++stats_.rowHitWrites;
         writeQ_.remove(cand.req);
+        queuesChanged(cand.cmd.rank, cand.cmd.bank, false);
         break;
       case CmdType::kRef:
       case CmdType::kRefsb:

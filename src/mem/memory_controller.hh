@@ -69,10 +69,12 @@ struct ControllerConfig
 
     /**
      * Skip the refresh scan and candidate enumeration on ticks that
-     * provably issue nothing (see MemoryController::quietUntil_).
-     * Results are byte-identical either way; makeChannelStack copies
-     * ExperimentConfig::idleFastForward here, and off is the reference
-     * path the fast-forward differential tests compare against.
+     * provably issue nothing (see MemoryController::quietUntil_), and
+     * under per-bank refresh re-evaluate a bank's refresh verdict only
+     * when it can have changed.  Results are byte-identical either
+     * way; makeChannelStack copies ExperimentConfig::idleFastForward
+     * here, and off is the reference path the fast-forward
+     * differential tests compare against.
      */
     bool idleFastForward = true;
 };
@@ -253,40 +255,40 @@ class MemoryController : public MemoryPort
     /** Deliver finished reads whose data has arrived by @p now. */
     void processCompletions(Cycle now);
 
-    /** A bank's refresh verdict for the current tick. */
-    enum RefreshVerdict : std::uint8_t
-    {
-        kNoRefresh,     //!< the bank keeps serving requests
-        kRefreshOwed,   //!< the policy wants the bank refreshed now
-        kRefreshForced, //!< DARP/SARP: the deadline allows no deferral
-    };
-
     /**
-     * The refresh scan: store every bank's verdict in verdict_ and try
-     * to advance the refreshes it asks for.  True if it issued a
-     * command.  Otherwise it has lowered @p wake to the first cycle at
-     * which a verdict can turn on or a refresh-side command becomes
-     * legal.
+     * The refresh scan: bring every bank's verdict in verdict_ up to
+     * @p now and try to advance the refreshes it asks for.  True if it
+     * issued a command.  Otherwise it has lowered @p wake to the first
+     * cycle at which a verdict can change or a refresh-side command
+     * becomes legal.
      */
     bool handleRefresh(Cycle now, Cycle &wake);
 
-    /** handleRefresh body for per-bank (REFsb) mode: drains and
-     *  refreshes only the owing bank, leaving the rest of the rank
-     *  schedulable. */
+    /**
+     * handleRefresh body for per-bank (REFsb) mode: drains and
+     * refreshes only the owing bank, leaving the rest of the rank
+     * schedulable.  It re-evaluates (refreshVerdict in
+     * refresh_policy.hh) only the banks whose change cycle has come,
+     * and none while verdictsChangeAt_ lies ahead; with
+     * cfg_.idleFastForward off, every bank on every tick.
+     */
     bool handlePerBankRefresh(Cycle now, Cycle &wake);
 
     /**
-     * The per-bank refresh policy's verdict: does (rank, bank) owe a
-     * refresh at @p now?  kInOrder answers the nominal deadline
-     * (RefreshEngine::due); DARP/SARP defer a due refresh while the
-     * bank has queued demand (until the postponement deadline nears)
-     * and pull one forward when the bank is idle but the controller is
-     * busy elsewhere.  For a "no" it lowers @p wake to the cycle the
-     * verdict can turn on; with the queues unchanged, a verdict only
-     * turns on as @p now grows.
+     * A push (@p pushed) or a removal of a request to (@p rank,
+     * @p bank) changed the queues: mark stale the cached verdicts whose
+     * inputs changed.  That is every bank's when the queues flipped
+     * between empty and busy, else that bank's when it got its first
+     * request or lost its last.  In-order verdicts read neither input.
      */
-    RefreshVerdict refreshVerdict(RankId rank, BankId bank, Cycle now,
-                                  Cycle &wake) const;
+    void queuesChanged(RankId rank, BankId bank, bool pushed);
+
+    /** Mark bank @p flat's cached verdict stale. */
+    void staleVerdict(std::size_t flat)
+    {
+        verdict_[flat].changeAt = 0;
+        verdictsChangeAt_ = 0;
+    }
 
     /** Try to advance (rank, bank)'s refresh: REFsb on a closed bank,
      *  else a forced PRE on its open row.  True if a command was
@@ -298,11 +300,14 @@ class MemoryController : public MemoryPort
     bool tryIssue(const Command &cmd, Cycle now, Cycle &wake);
 
     /**
-     * Enumerate every candidate legal at @p now into @p out, in queue
-     * order (reads before writes, each by Request::id), and lower
+     * Enumerate every candidate legal at @p now into @p out, and lower
      * @p wake to the first cycle each rejected command becomes legal.
+     * The list is in no fixed order: bank by bank, in activeBanks()
+     * order, each bank's reads and then its writes in arrival order.
+     * Schedulers break full ties by the queue key (queuedBefore in
+     * scheduler.hh), so no pick depends on it.
      * It works bank by bank, skipping banks whose verdict_ is not
-     * kNoRefresh: one legality check per command kind the bank needs
+     * kNone: one legality check per command kind the bank needs
      * (ACT for a closed bank; PRE for an open one without pending hits;
      * else RD and/or WR for the hit directions), and the bank's requests
      * are visited only when that check passes.  A closed bank offers
@@ -350,18 +355,32 @@ class MemoryController : public MemoryPort
     ControllerStats stats_;
     std::vector<Candidate> scratch_; //!< reused candidate buffer
 
-    /** This tick's refresh verdict per (rank, bank), indexed
-     *  rank * banks + bank: the scan writes it, enumerate reads it. */
-    std::vector<RefreshVerdict> verdict_;
+    /**
+     * Each bank's refresh verdict with the cycle at which time alone
+     * changes it, indexed rank * banks + bank: the scan writes it,
+     * enumerate reads it.  Under per-bank refresh an entry is
+     * re-evaluated once now reaches its changeAt; queuesChanged and a
+     * REFsb set changeAt to 0 when they change the entry's inputs.
+     * The all-bank scan rewrites every verdict and leaves changeAt.
+     */
+    std::vector<BankRefreshVerdict> verdict_;
+
+    /** The smallest changeAt in verdict_: the per-bank scan
+     *  re-evaluates no bank before it. */
+    Cycle verdictsChangeAt_ = 0;
+
+    /** Some verdict in verdict_ is kOwed or kForced. */
+    bool refreshWanted_ = false;
 
     /**
      * No command can issue before this cycle.  A tick whose refresh
      * scan and enumerate find nothing legal sets it to the earliest
-     * cycle at which a refresh verdict can turn on or a rejected
+     * cycle at which a refresh verdict can change or a rejected
      * command becomes legal; ticks before it skip both.  The skip is
      * exact: every legality input is an allowed-at cycle that only an
      * issue moves, queue contents and row demand change only on an
-     * issue or a push, and each verdict only turns on as time passes.
+     * issue or a push, and with its inputs unchanged a verdict changes
+     * only at its change cycle.
      * No issue happens while quiet, so a push is the one reset.
      */
     Cycle quietUntil_ = 0;

@@ -27,7 +27,11 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/types.hh"
+
 namespace nuat {
+
+class RefreshEngine;
 
 /** When the controller retires refresh within the JEDEC window. */
 enum class RefreshPolicy : std::uint8_t
@@ -45,6 +49,52 @@ const char *refreshPolicyName(RefreshPolicy policy);
  * Returns false (leaving @p out untouched) on anything else.
  */
 bool parseRefreshPolicy(std::string_view name, RefreshPolicy &out);
+
+/** What a bank's refresh policy asks for at one cycle. */
+enum class RefreshVerdict : std::uint8_t
+{
+    kNone,   //!< the bank keeps serving requests
+    kOwed,   //!< the policy wants the bank refreshed now
+    kForced, //!< DARP/SARP: the deadline allows no deferral
+};
+
+/**
+ * A bank's verdict at one cycle, with the first cycle at which time
+ * alone changes it: the verdict holds on [now, changeAt) and differs
+ * at changeAt.  kNeverCycle when only a change of the inputs (the
+ * bank's demand, the controller's busyness, a REFsb to the bank) can
+ * change it.
+ */
+struct BankRefreshVerdict
+{
+    Cycle changeAt = 0;
+    RefreshVerdict verdict = RefreshVerdict::kNone;
+};
+
+/**
+ * The per-bank refresh decision of @p policy for the bank whose rows
+ * @p eng refreshes, at @p now.
+ *
+ *  - kInOrder owes the refresh from the nominal deadline
+ *    (RefreshEngine::due) on.
+ *  - DARP/SARP force it once the postponement deadline is within
+ *    @p force_margin, which must be below the postponement window.
+ *    Before that they defer it while the bank @p has_demand, and owe
+ *    it when the bank has none and either the nominal deadline has come
+ *    or the controller is @p busy elsewhere and the pull-in window has
+ *    opened.  An idle controller never pulls in, so the idle
+ *    fast-forward, which skips spans where nothing happens, changes no
+ *    result.
+ *
+ * changeAt is the cycle a kNone turns on (the nominal deadline, the
+ * pull-in window's start or the forced cycle) and, for a DARP/SARP
+ * kOwed, the forced cycle.  A forced or an in-order owed verdict
+ * holds until the bank's REFsb.
+ */
+BankRefreshVerdict refreshVerdict(RefreshPolicy policy,
+                                  const RefreshEngine &eng,
+                                  Cycle force_margin, bool has_demand,
+                                  bool busy, Cycle now);
 
 } // namespace nuat
 

@@ -68,16 +68,6 @@ BankIndex::remove(Request &req)
     }
 }
 
-BankIndex::RowDemand
-BankIndex::demandFor(std::size_t flat, RowId row) const
-{
-    for (const auto &r : perBank_[flat].rows) {
-        if (r.row == row)
-            return r.demand;
-    }
-    return RowDemand{};
-}
-
 RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity)
 {
     nuat_assert(capacity_ > 0);

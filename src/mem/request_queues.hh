@@ -92,8 +92,16 @@ class BankIndex
         return rank.value() * banks_ + bank.value();
     }
 
-    /** Queued requests targeting @p row of bank @p flat. */
-    RowDemand demandFor(std::size_t flat, RowId row) const;
+    /** Queued requests targeting @p row of bank @p flat.  Inline:
+     *  enumerate asks it once per open bank. */
+    RowDemand demandFor(std::size_t flat, RowId row) const
+    {
+        for (const auto &r : perBank_[flat].rows) {
+            if (r.row == row)
+                return r.demand;
+        }
+        return RowDemand{};
+    }
 
     /** Queued requests targeting bank @p flat, any row.  Refresh
      *  policies ask it for every bank on every scan, so it reads one

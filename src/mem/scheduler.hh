@@ -10,10 +10,12 @@
  * auto-precharge flavour (page-mode policy) or tighten an ACT's timing
  * (NUAT's charge-aware derating).
  *
- * Order contract: the candidates arrive in queue order, reads before
- * writes and each direction by Request::id (arrival order), with at
- * most one candidate per request.  Every scheduler gives a full tie to
- * the earlier candidate, so this order is part of every schedule.
+ * Tie-break contract: a candidate list holds at most one candidate per
+ * request, in no fixed order.  Every scheduler breaks a full tie of its
+ * own ranking by the queue key (queuedBefore: earlier arrival, then a
+ * read before a write, then the lower Request::id), which is a total
+ * order over requests.  So a pick, and the command it decorates, does
+ * not depend on the list's order.
  */
 
 #ifndef NUAT_MEM_SCHEDULER_HH
@@ -35,8 +37,8 @@ class MetricRegistry;
 
 /**
  * One issuable command together with its driving request.  A candidate
- * list holds at most one per request, in queue order: reads before
- * writes, each by Request::id (see the file comment).
+ * list holds at most one per request, in no fixed order (see the file
+ * comment).
  */
 struct Candidate
 {
@@ -52,6 +54,24 @@ struct Candidate
      */
     bool morePendingToRow = false;
 };
+
+/**
+ * The queue key, every scheduler's last tie-break: true when @p a's
+ * request entered the queues before @p b's.  Earlier arrival first,
+ * then a read before a write, then the lower Request::id.  A candidate
+ * without a request comes after every one with a request.
+ */
+inline bool
+queuedBefore(const Candidate &a, const Candidate &b)
+{
+    if (!a.req || !b.req)
+        return a.req && !b.req;
+    if (a.req->arrivalAt != b.req->arrivalAt)
+        return a.req->arrivalAt < b.req->arrivalAt;
+    if (a.isWrite != b.isWrite)
+        return b.isWrite;
+    return a.req->id < b.req->id;
+}
 
 /** Read-only controller state exposed to schedulers. */
 struct SchedContext

@@ -12,18 +12,16 @@ FcfsScheduler::pick(std::vector<Candidate> &candidates,
     const bool prefer_writes = drain_.draining();
 
     int best = -1;
-    Cycle best_arrival = kNeverCycle;
     bool best_preferred = false;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         const Candidate &c = candidates[i];
         const bool preferred = c.isWrite == prefer_writes;
-        const Cycle arrival = c.req ? c.req->arrivalAt : kNeverCycle;
         const bool better =
             best < 0 || (preferred && !best_preferred) ||
-            (preferred == best_preferred && arrival < best_arrival);
+            (preferred == best_preferred &&
+             queuedBefore(c, candidates[static_cast<std::size_t>(best)]));
         if (better) {
             best = static_cast<int>(i);
-            best_arrival = arrival;
             best_preferred = preferred;
         }
     }

@@ -5,7 +5,8 @@ namespace nuat {
 int
 frFcfsRank(const std::vector<Candidate> &candidates, bool prefer_writes)
 {
-    // Larger is better: preferred direction, then row hit, then age.
+    // Larger is better: preferred direction, then row hit, then the
+    // queue key (age first).
     auto better = [&](const Candidate &a, const Candidate &b) {
         const bool ap = a.isWrite == prefer_writes;
         const bool bp = b.isWrite == prefer_writes;
@@ -13,9 +14,7 @@ frFcfsRank(const std::vector<Candidate> &candidates, bool prefer_writes)
             return ap;
         if (a.isRowHit != b.isRowHit)
             return a.isRowHit;
-        const Cycle aa = a.req ? a.req->arrivalAt : kNeverCycle;
-        const Cycle ba = b.req ? b.req->arrivalAt : kNeverCycle;
-        return aa < ba;
+        return queuedBefore(a, b);
     };
 
     int best = 0;

@@ -22,8 +22,8 @@ namespace nuat {
 /**
  * The FR-FCFS ranking every FR-FCFS flavour shares: the index of the
  * best of the non-empty @p candidates by (preferred direction, row
- * hit, oldest arrival), the first one winning a full tie.  Each
- * scheduler then applies its own page policy to the winner.
+ * hit, queue key), the queue key putting the oldest arrival first.
+ * Each scheduler then applies its own page policy to the winner.
  */
 int frFcfsRank(const std::vector<Candidate> &candidates, bool prefer_writes);
 

@@ -464,9 +464,10 @@ describe(const Candidate &c)
 
 /**
  * Wraps a scheduler and checks the controller's candidate list against
- * referenceCandidates on every tick: element by element at a pick, and
- * empty at a tick that issued nothing.  It also counts the situations
- * in which a wrong order, dedupe or PRE carrier would show.
+ * referenceCandidates on every tick: as sets at a pick (both sides in
+ * queue-key order, since the list's order is free), and empty at a tick
+ * that issued nothing.  It also counts the situations in which a wrong
+ * queue key, dedupe or PRE carrier would show.
  */
 class ReferenceCheck : public Scheduler
 {
@@ -529,9 +530,11 @@ class ReferenceCheck : public Scheduler
 
   private:
     void
-    compare(const std::vector<Candidate> &got, Cycle now)
+    compare(std::vector<Candidate> got, Cycle now)
     {
-        const std::vector<Candidate> &want = expected_;
+        std::vector<Candidate> want = expected_;
+        std::sort(got.begin(), got.end(), queuedBefore);
+        std::sort(want.begin(), want.end(), queuedBefore);
         std::size_t i = 0;
         auto same = [](const Candidate &a, const Candidate &b) {
             return a.req == b.req && a.cmd.type == b.cmd.type &&
@@ -684,7 +687,7 @@ expectReferenceCandidates(const DramSpec &spec, const DramGeometry &geom,
         EXPECT_EQ(ch.check->mismatches, 0u);
         EXPECT_GT(ch.check->picks, 1000u);
         EXPECT_GT(ch.dev.counters().refreshes, 0u);
-        // The cases a wrong sort, ACT dedupe or PRE carrier would
+        // The cases a wrong queue key, ACT dedupe or PRE carrier would
         // change must all occur.
         EXPECT_GT(mixed_arrivals, 0u);
         EXPECT_GT(ch.check->mixedPicks, 0u);

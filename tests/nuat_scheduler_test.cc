@@ -2,17 +2,21 @@
  * @file
  * NUAT scheduler tests: command decoration (rated ACT timing, PPM
  * auto-precharge), degenerate-weight equivalences with the classic
- * baselines, the starvation escape, and pick() against a reference
- * argmax on random full-weight candidate mixes.
+ * baselines, the starvation escape, pick() against a reference argmax
+ * on random full-weight candidate mixes, and every scheduler's pick
+ * unchanged by the order of its candidate list.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <tuple>
 
 #include "charge/timing_derate.hh"
 #include "common/random.hh"
 #include "core/nuat_scheduler.hh"
+#include "sched/adaptive_scheduler.hh"
 #include "sched/fcfs_scheduler.hh"
 #include "sched/frfcfs_scheduler.hh"
 
@@ -288,11 +292,36 @@ TEST_F(NuatSchedulerTest, DegenerateW1W2W3MatchesFrFcfsOnReadSets)
     }
 }
 
+/**
+ * The queue key of scheduler.hh, spelled out: a candidate with a
+ * request before one without, then earlier arrival, then a read before
+ * a write, then the lower Request::id.
+ */
+std::tuple<bool, Cycle, bool, std::uint64_t>
+queueKey(const Candidate &c)
+{
+    if (!c.req)
+        return {true, 0, false, 0};
+    return {false, c.req->arrivalAt, c.isWrite, c.req->id};
+}
+
+/** Give @p reqs distinct ids in a random order. */
+void
+shuffleIds(std::vector<Request> &reqs, Rng &rng)
+{
+    std::vector<std::uint64_t> ids(reqs.size());
+    std::iota(ids.begin(), ids.end(), std::uint64_t{1});
+    for (std::size_t i = ids.size(); i > 1; --i)
+        std::swap(ids[i - 1], ids[rng.below(i)]);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        reqs[i].id = ids[i];
+}
+
 TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
 {
     // Full Table 1 weights with the starvation escape on: pick() must
     // return the candidate a reference argmax chooses, scoring with
-    // es1..es5 plus the boost and breaking ties by oldest arrival.
+    // es1..es5 plus the boost and breaking ties by the queue key.
     const PbrAcquisition pbr(cfg_, dev_->geometry().rows);
     const RefreshEngine &refresh = dev_->refreshFor(RankId{0}, BankId{0});
     // Rows in a transition region, so Element 5 is exercised too.
@@ -310,7 +339,6 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
         const double boost = 10.0 * (t.weights().w1 + 2.0 * t.weights().w3);
         int best = -1;
         double best_score = 0.0;
-        Cycle best_arrival = kNeverCycle;
         for (std::size_t i = 0; i < cands.size(); ++i) {
             const Candidate &c = cands[i];
             ScoreInputs in;
@@ -330,14 +358,15 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
                 s += boost;
                 ++*boosted;
             }
-            const Cycle arrival = c.req ? c.req->arrivalAt : kNeverCycle;
-            if (best >= 0 && s == best_score && arrival < best_arrival)
+            const bool key_first =
+                best >= 0 &&
+                queueKey(c) < queueKey(cands[static_cast<std::size_t>(best)]);
+            if (best >= 0 && s == best_score && key_first)
                 ++*tie_breaks;
             if (best < 0 || s > best_score ||
-                (s == best_score && arrival < best_arrival)) {
+                (s == best_score && key_first)) {
                 best = static_cast<int>(i);
                 best_score = s;
-                best_arrival = arrival;
             }
         }
         return best;
@@ -358,10 +387,14 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
             const Cycle now = 1000 + static_cast<Cycle>(trial);
             const std::size_t n = 1 + rng.below(12);
             std::vector<Request> reqs(n);
+            shuffleIds(reqs, rng);
             std::vector<Candidate> cands;
             for (std::size_t i = 0; i < n; ++i) {
-                // Waits straddle the 200-cycle starvation limit.
-                const Cycle arrival = now - rng.below(400);
+                // Waits straddle the 200-cycle starvation limit; some
+                // arrivals repeat, so the rest of the key decides ties.
+                const Cycle arrival = i > 0 && rng.chance(0.3)
+                                          ? reqs[rng.below(i)].arrivalAt
+                                          : now - rng.below(400);
                 const bool write = rng.chance(0.4);
                 const std::uint64_t kind = rng.below(4);
                 if (kind == 0) {
@@ -394,6 +427,108 @@ TEST_F(NuatSchedulerTest, PickMatchesReferenceArgmaxOnRandomMixes)
     // The mixes reached the boost and the arrival tie-break.
     EXPECT_GT(boosted, 0u);
     EXPECT_GT(tie_breaks, 0u);
+}
+
+TEST_F(NuatSchedulerTest, EverySchedulerPicksAlikeFromAShuffledList)
+{
+    // Candidate lists come in no fixed order (scheduler.hh): each
+    // scheduler, run twice in lockstep on a seeded list and on a
+    // shuffle of it, must pick the same request and decorate it the
+    // same way.  The lists repeat arrivals, with the read first by id
+    // in some ties and the write first in others.
+    using Make = std::unique_ptr<Scheduler> (*)(const NuatConfig &);
+    const std::pair<const char *, Make> kinds[] = {
+        {"FCFS",
+         [](const NuatConfig &) -> std::unique_ptr<Scheduler> {
+             return std::make_unique<FcfsScheduler>();
+         }},
+        {"FR-FCFS(open)",
+         [](const NuatConfig &) -> std::unique_ptr<Scheduler> {
+             return std::make_unique<FrFcfsScheduler>(PagePolicy::kOpen);
+         }},
+        {"FR-FCFS(close)",
+         [](const NuatConfig &) -> std::unique_ptr<Scheduler> {
+             return std::make_unique<FrFcfsScheduler>(PagePolicy::kClose);
+         }},
+        {"adaptive",
+         [](const NuatConfig &) -> std::unique_ptr<Scheduler> {
+             return std::make_unique<AdaptiveFrFcfsScheduler>(250, 10);
+         }},
+        {"NUAT",
+         [](const NuatConfig &cfg) -> std::unique_ptr<Scheduler> {
+             return std::make_unique<NuatScheduler>(cfg);
+         }},
+    };
+    for (const auto &[name, make] : kinds) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<Scheduler> listed = make(cfg_);
+        std::unique_ptr<Scheduler> shuffled = make(cfg_);
+        Rng rng(0x5b0ff1e);
+        // Read/write arrival ties, by which of the two has the lower id.
+        unsigned read_first = 0;
+        unsigned write_first = 0;
+        for (int trial = 0; trial < 2000; ++trial) {
+            const Cycle now = 1000 + static_cast<Cycle>(trial);
+            const std::size_t n = 2 + rng.below(10);
+            std::vector<Request> reqs(n);
+            shuffleIds(reqs, rng);
+            std::vector<Candidate> cands;
+            // Two or three arrival cycles only, so most requests tie on
+            // age with both reads and writes.
+            const Cycle base = now - 250 + rng.below(100);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Cycle arrival = base + 7 * rng.below(3);
+                const bool write = rng.chance(0.5);
+                switch (rng.below(3)) {
+                  case 0:
+                    cands.push_back(actCand(rowInPb(static_cast<unsigned>(
+                                                rng.below(5))),
+                                            &reqs[i], arrival, write));
+                    break;
+                  case 1: {
+                    Candidate c = actCand(0, &reqs[i], arrival, write);
+                    c.cmd.type = CmdType::kPre;
+                    cands.push_back(c);
+                    break;
+                  }
+                  default:
+                    cands.push_back(colCand(write ? CmdType::kWrite
+                                                  : CmdType::kRead,
+                                            &reqs[i], arrival,
+                                            rng.chance(0.5)));
+                }
+            }
+            std::vector<Candidate> mixed = cands;
+            for (std::size_t i = mixed.size(); i > 1; --i)
+                std::swap(mixed[i - 1], mixed[rng.below(i)]);
+
+            const SchedContext c = ctx(now, rng.below(60));
+            listed->tick(c);
+            shuffled->tick(c);
+            const int a = listed->pick(cands, c);
+            const int b = shuffled->pick(mixed, c);
+            ASSERT_GE(a, 0);
+            ASSERT_GE(b, 0);
+            const Candidate &x = cands[static_cast<std::size_t>(a)];
+            const Candidate &y = mixed[static_cast<std::size_t>(b)];
+            EXPECT_EQ(x.req, y.req) << "trial " << trial;
+            EXPECT_EQ(x.cmd.type, y.cmd.type) << "trial " << trial;
+            EXPECT_EQ(x.cmd.actTiming.trcd, y.cmd.actTiming.trcd);
+            EXPECT_EQ(x.cmd.actTiming.tras, y.cmd.actTiming.tras);
+            EXPECT_EQ(x.cmd.actTiming.trc, y.cmd.actTiming.trc);
+            listed->onIssue(x.cmd, c);
+            shuffled->onIssue(y.cmd, c);
+            for (const Candidate &r : cands) {
+                for (const Candidate &w : cands) {
+                    if (!r.isWrite && w.isWrite &&
+                        r.req->arrivalAt == w.req->arrivalAt)
+                        ++(r.req->id < w.req->id ? read_first : write_first);
+                }
+            }
+        }
+        EXPECT_GT(read_first, 1000u);
+        EXPECT_GT(write_first, 1000u);
+    }
 }
 
 } // namespace

@@ -1,14 +1,20 @@
 /**
  * @file
- * Tests for the refresh engine: counter arithmetic, schedule, and
- * ground-truth history.
+ * Tests for the refresh engine (counter arithmetic, schedule, and
+ * ground-truth history) and for the per-bank refresh verdict with its
+ * change cycle.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <vector>
+
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "dram/dram_spec.hh"
 #include "dram/refresh_engine.hh"
+#include "mem/refresh_policy.hh"
 
 namespace nuat {
 namespace {
@@ -238,6 +244,84 @@ TEST(RefreshEngine, PerBankStaggerSpansOneInterval)
                       0);
         }
     }
+}
+
+TEST(RefreshVerdict, HoldsUntilItsChangeCycleAndChangesThere)
+{
+    // Random engine phases and histories, random inputs and margins,
+    // all three policies.  The verdict must hold on [now, changeAt) and
+    // differ at changeAt; a verdict that claims never to change must
+    // still hold at the engine's deadlines and long after them.
+    Rng rng(0x5eedc7c1e);
+    unsigned owed_retimed = 0; // DARP/SARP owed verdicts with a cycle
+    unsigned never = 0;
+    unsigned finite = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        TimingParams tp = smallTiming();
+        tp.refPullInMax = static_cast<unsigned>(rng.between(1, 8));
+        tp.refPostponeMax = static_cast<unsigned>(rng.between(1, 8));
+        const Cycle interval = tp.refInterval();
+        RefreshEngine eng(64, tp, rng.between(1, interval));
+        // A few refreshes anywhere inside their JEDEC windows.
+        for (auto k = rng.below(4); k > 0; --k)
+            eng.performRefresh(
+                rng.between(eng.earliestIssueAt(), eng.deadlineAt()));
+
+        const auto policy = static_cast<RefreshPolicy>(rng.below(3));
+        const Cycle margin = rng.below(tp.refPostponeWindow());
+        const bool demand = rng.chance(0.5);
+        const bool busy = demand || rng.chance(0.5);
+        const Cycle lo = eng.earliestIssueAt() > interval
+                             ? eng.earliestIssueAt() - interval
+                             : 0;
+        const Cycle now = rng.between(lo, eng.deadlineAt() + interval);
+        auto at = [&](Cycle t) {
+            return refreshVerdict(policy, eng, margin, demand, busy, t)
+                .verdict;
+        };
+        const BankRefreshVerdict v =
+            refreshVerdict(policy, eng, margin, demand, busy, now);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " policy "
+                     << refreshPolicyName(policy) << " now " << now
+                     << " changeAt " << v.changeAt);
+        ASSERT_GT(v.changeAt, now);
+
+        // The cycles at which any input of the decision turns over.
+        const Cycle forced_at = eng.deadlineAt() - margin;
+        std::vector<Cycle> probes = {now,
+                                     eng.earliestIssueAt(),
+                                     eng.nextDueAt(),
+                                     forced_at,
+                                     eng.deadlineAt(),
+                                     eng.deadlineAt() + 10 * interval};
+        for (const Cycle edge : {eng.earliestIssueAt(), eng.nextDueAt(),
+                                 forced_at}) {
+            if (edge > 0)
+                probes.push_back(edge - 1);
+        }
+        for (int k = 0; k < 8; ++k)
+            probes.push_back(now + rng.below(3 * interval));
+
+        if (v.changeAt == kNeverCycle) {
+            ++never;
+        } else {
+            ++finite;
+            owed_retimed += policy != RefreshPolicy::kInOrder &&
+                            v.verdict == RefreshVerdict::kOwed;
+            EXPECT_NE(at(v.changeAt), v.verdict);
+            probes.push_back(v.changeAt - 1);
+        }
+        for (const Cycle t : probes) {
+            if (t >= now && t < v.changeAt) {
+                EXPECT_EQ(at(t), v.verdict) << "at " << t;
+            }
+        }
+    }
+    // Every kind of answer occurred, the re-timed owed bank included.
+    EXPECT_GT(owed_retimed, 100u);
+    EXPECT_GT(never, 100u);
+    EXPECT_GT(finite, 100u);
 }
 
 } // namespace
